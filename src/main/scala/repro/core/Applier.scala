@@ -23,7 +23,8 @@ object Applier {
   /** Apply the decisions to one cluster. `initialKeys` is the set of rule
     * keys that existed in the initial catalog: those only apply through the
     * group they were assigned to (`memberDirs`), while *new* keys may be
-    * adopted by any approved group whose criteria they satisfy.
+    * adopted by any approved group whose criteria they satisfy. NULL values
+    * take part in no rule and stay NULL.
     */
   def applyCluster(cluster: Long, records: Map[Long, String],
                    decisions: Seq[Decision],
@@ -39,7 +40,7 @@ object Applier {
     }
 
     def currentRules(): Vector[MatchingRule] = {
-      val vs  = state.values.toVector.distinct.sorted
+      val vs  = state.values.filter(_ != null).toVector.distinct.sorted
       val acc = mutable.HashMap.empty[RuleKey, MatchingRule]
       for (i <- vs.indices; j <- (i + 1) until vs.length; r <- pairRules(vs(i), vs(j)))
         acc.updateWith(r.key) {

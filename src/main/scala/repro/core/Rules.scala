@@ -72,11 +72,11 @@ object Rules {
   }
 
   /** All matching rules of a cluster: every unordered pair of distinct values,
-    * merged by canonical rule key.
+    * merged by canonical rule key. NULL values take part in no rule.
     */
   def clusterRules(cluster: Long, values: Seq[String],
                    includeFullValue: Boolean = true): Map[RuleKey, MatchingRule] = {
-    val vs = values.distinct.sorted
+    val vs = values.filter(_ != null).distinct.sorted
     val acc = scala.collection.mutable.HashMap.empty[RuleKey, MatchingRule]
     for {
       i <- vs.indices

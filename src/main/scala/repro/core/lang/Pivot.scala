@@ -24,7 +24,11 @@ final case class PivotConfig(
       * The best path found within the budget is kept. 0 disables the cap.
       */
     searchBudget: Long = 2500,
-) extends Serializable
+) extends Serializable {
+  require(maxPathLen >= 1, s"maxPathLen must be >= 1, got $maxPathLen")
+  require(sampleCap >= 0, s"sampleCap must be >= 0, got $sampleCap")
+  require(searchBudget >= 0, s"searchBudget must be >= 0, got $searchBudget")
+}
 
 /** A program group: transformations sharing the same pivot path. */
 final case class ProgGroup(pathKey: String, path: Vector[Label], members: Vector[Trans])
@@ -33,10 +37,14 @@ final case class ProgGroup(pathKey: String, path: Vector[Label], members: Vector
   * path — the transformation path of its graph contained by the most graphs
   * in the pool Σ — then group transformations with equal pivot paths.
   *
-  * Implementation notes: node ids are ≤ maxSideLen + 1 ≤ 64, so the set of
-  * reachable nodes per graph is a Long bitmask; the inverted index stores,
-  * per label and graph, the packed edges `(i << 8) | j` (Section 4.2's
-  * ⟨G, i, j⟩ triples). The local/global thresholds are Section 4.3 verbatim.
+  * Implementation notes (DESIGN.md §6): a pool's graphs are built over one
+  * [[LangDict]], so labels are int ids in the static order and graphs are
+  * CSR arrays ([[IntGraph]]). Node ids are ≤ maxSideLen + 1 ≤ 63, so the set
+  * of reachable nodes per graph is a Long bitmask. The inverted index stores,
+  * per label id and graph, the packed edges `(i << 8) | j` (Section 4.2's
+  * ⟨G, i, j⟩ triples) in flat arrays. `Label` objects and path keys are made
+  * only for the returned groups. The local/global thresholds are Section 4.3
+  * verbatim.
   */
 object Pivot {
 
@@ -79,7 +87,7 @@ object Pivot {
 
     // Overlong transformations get the degenerate ConstantStr(t) pivot up
     // front: their graphs carry no other labels, so they can only ever group
-    // with an identical rhs — and node ids past 62 would overflow the
+    // with an identical rhs — and node ids past 63 would overflow the
     // bitmask representation below.
     val (searchable, overlong) = sorted.partition(tr =>
       tr.lhs.length <= cfg.graph.maxSideLen && tr.rhs.length <= cfg.graph.maxSideLen)
@@ -93,66 +101,31 @@ object Pivot {
     if (searchable.isEmpty) return overlongGroups.sortBy(_.pathKey)
 
     val groupFreq = constTermFreq(searchable.map(_.lhs), cfg.graph.maxConstTermLen)
-    val scoreFn   = constScoreFn(groupFreq, globalConstFreq)
-    val graphs    = searchable.zipWithIndex.map { case (tr, i) =>
-      GraphBuilder.build(i, tr.lhs, tr.rhs, cfg.graph, scoreFn)
-    }
-
-    // Inverted index: label -> graphId -> packed edges ((i << 8) | j).
-    val index = mutable.HashMap.empty[Label, mutable.LongMap[Array[Int]]]
-    for (g <- graphs) {
-      val perGraph = mutable.HashMap.empty[Label, mutable.ArrayBuffer[Int]]
-      for (((i, j), labels) <- g.edges; l <- labels)
-        perGraph.getOrElseUpdate(l, mutable.ArrayBuffer.empty) += ((i << 8) | j)
-      for ((l, edges) <- perGraph)
-        index.getOrElseUpdate(l, mutable.LongMap.empty)(g.id.toLong) = edges.toArray.sorted
-    }
+    val built     = GraphBuilder.buildPool(searchable.map(tr => (tr.lhs, tr.rhs)), cfg.graph,
+                                           constScoreFn(groupFreq, globalConstFreq))
+    val index     = new LabelIndex(built.graphs, built.dict.numLabels)
 
     // Labels with identical postings are interchangeable during the search
     // (same ℓ trajectory, same scores); exploring every alias only multiplies
-    // the branching factor. Keep one static-order representative per postings
-    // fingerprint and rewrite the graphs' edge label lists accordingly.
-    val repOf: Map[Label, Label] = {
-      val byFp = mutable.HashMap.empty[String, mutable.ArrayBuffer[Label]]
-      for ((l, postings) <- index) {
-        val fp = {
-          val sb = new StringBuilder
-          for (gid <- postings.keys.toArray.sorted) {
-            sb.append(gid).append(':')
-            for (e <- postings(gid)) sb.append(e).append(',')
-            sb.append(';')
-          }
-          sb.toString
-        }
-        byFp.getOrElseUpdate(fp, mutable.ArrayBuffer.empty) += l
-      }
-      byFp.valuesIterator.flatMap { ls =>
-        val rep = ls.minBy(l => (Label.staticRank(l), l.key))
-        ls.iterator.map(_ -> rep)
-      }.toMap
-    }
-    // Array-form index for the searcher: label -> (sorted gids, edges per gid).
-    val dedupIndex: collection.Map[Label, (Array[Int], Array[Array[Int]])] = {
-      val out = mutable.HashMap.empty[Label, (Array[Int], Array[Array[Int]])]
-      for ((l, postings) <- index; rep = repOf(l); if rep == l) {
-        val gids = postings.keys.toArray.map(_.toInt).sorted
-        out(l) = (gids, gids.map(gid => postings(gid.toLong)))
-      }
-      out
-    }
-    val dedupGraphs = graphs.map { g =>
-      g.copy(edges = g.edges.view.mapValues(_.map(repOf).distinct).toMap)
-    }
+    // the branching factor. Search with one static-order representative per
+    // postings.
+    val rep    = index.representatives()
+    val graphs = built.graphs.map(_.mapLabels(rep))
 
-    val state    = new SearchState(dedupGraphs, cfg)
-    val searcher = new Searcher(state, dedupIndex, cfg)
-    for (g <- dedupGraphs) searcher.searchGraph(g)
+    val state    = new SearchState(built.graphs, cfg)
+    val searcher = new Searcher(state, graphs, index, cfg)
+    for (g <- graphs.indices) searcher.searchGraph(g)
 
-    val searchGroups = dedupGraphs.groupBy(g => PathCheck.pathKey(state.bestPath(g.id)))
+    // Labels and path keys of the distinct pivot paths only.
+    val paths = mutable.HashMap.empty[Seq[Int], (String, Vector[Label])]
+    def pivot(g: Int): (String, Vector[Label]) =
+      paths.getOrElseUpdate(state.bestPath(g).toSeq, {
+        val path = state.bestPath(g).iterator.map(built.dict.label).toVector
+        (PathCheck.pathKey(path), path)
+      })
+    val searchGroups = graphs.indices.groupBy(pivot(_)._1)
       .iterator
-      .map { case (key, gs) =>
-        ProgGroup(key, state.bestPath(gs.head.id), gs.map(g => searchable(g.id)))
-      }
+      .map { case (key, gs) => ProgGroup(key, pivot(gs.head)._2, gs.map(searchable).toVector) }
       .toVector
     (searchGroups ++ overlongGroups)
       .groupBy(_.pathKey)
@@ -162,20 +135,97 @@ object Pivot {
       .sortBy(_.pathKey)
   }
 
-  /** Shared global-threshold state (Section 4.3) plus the Appendix-B sample
-    * of graph ids that candidate paths are scored against.
+  /** Inverted index I (Section 4.2) over a pool's graphs, in flat arrays.
+    * Label `f`'s postings are `postOff(f) until postOff(f + 1)`, by ascending
+    * graph id; posting `p` names graph `postGid(p)` and the label's packed
+    * edges `(i << 8) | j` there, `edges(edgeOff(p) until edgeOff(p + 1))`,
+    * ascending.
     */
-  private final class SearchState(graphs: Vector[TGraph], cfg: PivotConfig) {
-    val n: Int                         = graphs.length
-    val lastNode: Array[Int]           = graphs.map(_.lastNode).toArray
-    val bestScore: Array[Int]          = Array.fill(n)(0)
-    val bestPath: Array[Vector[Label]] = Array.tabulate(n) { i =>
+  private final class LabelIndex(graphs: Vector[IntGraph], numLabels: Int) {
+    val postOff = new Array[Int](numLabels + 1)
+    val (postGid, edgeOff, edges) = {
+      // counting sort of the (label, graph, edge) triples by label; graphs and
+      // their edges are visited in ascending order, so each label's run is
+      // sorted by (graph, edge)
+      val start = new Array[Int](numLabels + 1)
+      for (g <- graphs; l <- g.labs) start(l + 1) += 1
+      for (f <- 0 until numLabels) start(f + 1) += start(f)
+      val gids  = new Array[Int](start(numLabels))
+      val edges = new Array[Int](start(numLabels))
+      val next  = start.clone()
+      for ((g, gid) <- graphs.zipWithIndex; i <- 1 until g.lastNode) {
+        var e = g.nodeOff(i + 1) - 1
+        while (e >= g.nodeOff(i)) {
+          val packed = (i << 8) | g.target(e)
+          for (k <- g.labOff(e) until g.labOff(e + 1)) {
+            val f = g.labs(k)
+            gids(next(f)) = gid; edges(next(f)) = packed; next(f) += 1
+          }
+          e -= 1
+        }
+      }
+      // one posting per run of equal graph ids
+      val postGid = new IntBuf
+      val edgeOff = new IntBuf
+      for (f <- 0 until numLabels) {
+        postOff(f) = postGid.n
+        for (k <- start(f) until start(f + 1))
+          if (k == start(f) || gids(k) != gids(k - 1)) { postGid += gids(k); edgeOff += k }
+      }
+      postOff(numLabels) = postGid.n
+      edgeOff += edges.length
+      (java.util.Arrays.copyOf(postGid.a, postGid.n), java.util.Arrays.copyOf(edgeOff.a, edgeOff.n), edges)
+    }
+
+    /** `rep(f)`: the smallest label id whose postings equal `f`'s. Postings
+      * are bucketed by a hash and confirmed equal element by element.
+      */
+    def representatives(): Array[Int] = {
+      val rep     = new Array[Int](numLabels)
+      val buckets = mutable.HashMap.empty[Int, List[Int]]
+      for (f <- 0 until numLabels) {
+        val h     = hash(f)
+        val known = buckets.getOrElse(h, Nil)
+        known.find(samePostings(_, f)) match {
+          case Some(r) => rep(f) = r
+          case None    => rep(f) = f; buckets(h) = f :: known
+        }
+      }
+      rep
+    }
+
+    private def hash(f: Int): Int = {
+      var h = 0
+      for (p <- postOff(f) until postOff(f + 1)) {
+        h = 31 * h + postGid(p)
+        for (k <- edgeOff(p) until edgeOff(p + 1)) h = 31 * h + edges(k)
+        h = 31 * h - 1 // posting boundary
+      }
+      h
+    }
+
+    private def samePostings(a: Int, b: Int): Boolean = {
+      val (a0, a1, b0, b1) = (postOff(a), postOff(a + 1), postOff(b), postOff(b + 1))
+      java.util.Arrays.equals(postGid, a0, a1, postGid, b0, b1) &&
+        java.util.Arrays.equals(edges, edgeOff(a0), edgeOff(a1), edges, edgeOff(b0), edgeOff(b1)) &&
+        (0 until a1 - a0).forall(p => edgeOff(a0 + p + 1) - edgeOff(a0 + p) == edgeOff(b0 + p + 1) - edgeOff(b0 + p))
+    }
+  }
+
+  /** Shared global-threshold state (Section 4.3) plus the Appendix-B sample
+    * of graph ids that candidate paths are scored against. Paths are label
+    * ids of the pool's dictionary.
+    */
+  private final class SearchState(graphs: Vector[IntGraph], cfg: PivotConfig) {
+    val n: Int                      = graphs.length
+    val lastNode: Array[Int]        = graphs.map(_.lastNode).toArray
+    val bestScore: Array[Int]       = Array.fill(n)(0)
+    val bestPath: Array[Array[Int]] = Array.tabulate(n) { i =>
       // fallback pivot: the single ConstantStr(t) edge (or the empty program)
-      if (graphs(i).t.isEmpty) Vector.empty[Label]
-      else Vector[Label](ConstantStr(graphs(i).t))
+      if (graphs(i).t.isEmpty) Array.emptyIntArray else Array(graphs(i).wholeConst)
     }
     val sample: Array[Int] =
-      if (cfg.sampleCap <= 0 || n <= cfg.sampleCap) Array.range(0, n)
+      if (cfg.sampleCap == 0 || n <= cfg.sampleCap) Array.range(0, n)
       else new scala.util.Random(cfg.sampleSeed).shuffle((0 until n).toVector)
         .take(cfg.sampleCap).sorted.toArray
     val maxScore: Int = math.min(n, sample.length + 1) // sample plus the searched graph
@@ -187,87 +237,77 @@ object Pivot {
     */
   private final class Searcher(
       state: SearchState,
-      index: collection.Map[Label, (Array[Int], Array[Array[Int]])],
+      graphs: Vector[IntGraph],
+      index: LabelIndex,
       cfg: PivotConfig) {
 
-    private val maxDepth = math.max(1, cfg.maxPathLen)
+    private val maxDepth = cfg.maxPathLen
     private val n        = state.n
 
     // per-depth ℓ buffers: parallel (gid, reachable-node bitmask) arrays
     private val bufGids  = Array.ofDim[Int](maxDepth + 1, n)
     private val bufMasks = Array.ofDim[Long](maxDepth + 1, n)
     private val ellSize  = new Array[Int](maxDepth + 1)
-    private val pathBuf  = new Array[Label](maxDepth)
+    private val pathBuf  = new Array[Int](maxDepth)
 
-    private var gId       = 0
     private var gLastNode = 0
-    private var adjTargets: Array[Array[Int]]          = _
-    private var adjLabels: Array[Array[Array[Label]]]  = _
+    private var nodeOff: Array[Int] = _
+    private var target: Array[Int]  = _
+    private var labOff: Array[Int]  = _
+    private var labs: Array[Int]    = _
     private var localBest  = 0
-    private var localPath: Vector[Label] = null
+    private var localPath: Array[Int] = null
     private var ops    = 0L
-    private val budget = if (cfg.searchBudget <= 0) Long.MaxValue else cfg.searchBudget
+    private val budget = if (cfg.searchBudget == 0) Long.MaxValue else cfg.searchBudget
 
-    def searchGraph(g: TGraph): Unit = {
+    def searchGraph(gid: Int): Unit = {
+      val g = graphs(gid)
       if (g.t.isEmpty) return
       // The fallback path always covers this graph itself.
-      if (state.bestScore(g.id) < 1) state.bestScore(g.id) = 1
+      if (state.bestScore(gid) < 1) state.bestScore(gid) = 1
       // Global threshold shortcut: an earlier search already found a path for
       // this graph shared by the whole (sampled) pool — nothing can beat it.
-      if (cfg.globalThreshold && state.bestScore(g.id) >= state.maxScore) return
+      if (cfg.globalThreshold && state.bestScore(gid) >= state.maxScore) return
 
-      gId = g.id
       gLastNode = g.lastNode
-      localBest = if (cfg.globalThreshold) state.bestScore(g.id) else 1
+      nodeOff = g.nodeOff; target = g.target; labOff = g.labOff; labs = g.labs
+      localBest = if (cfg.globalThreshold) state.bestScore(gid) else 1
       localPath = null
       ops = 0L
-
-      // adjacency arrays, farthest target first
-      val nodes = gLastNode + 1
-      adjTargets = Array.fill(nodes)(Array.emptyIntArray)
-      adjLabels  = Array.fill(nodes)(Array.empty[Array[Label]])
-      for ((i, out) <- g.edges.keys.groupBy(_._1)) {
-        val sortedOut = out.toArray.sortBy(-_._2)
-        adjTargets(i) = sortedOut.map(_._2)
-        adjLabels(i)  = sortedOut.map(ij => g.edges(ij).toArray)
-      }
 
       // ℓ₀ = the Appendix-B sample plus this graph itself, node 1 reachable
       var m = 0
       var inserted = false
       var si = 0
       while (si < state.sample.length) {
-        val gid = state.sample(si)
-        if (!inserted && g.id < gid) {
-          bufGids(0)(m) = g.id; bufMasks(0)(m) = 2L; m += 1; inserted = true
+        val sg = state.sample(si)
+        if (!inserted && gid < sg) {
+          bufGids(0)(m) = gid; bufMasks(0)(m) = 2L; m += 1; inserted = true
         }
-        bufGids(0)(m) = gid; bufMasks(0)(m) = 2L; m += 1
-        if (gid == g.id) inserted = true
+        bufGids(0)(m) = sg; bufMasks(0)(m) = 2L; m += 1
+        if (sg == gid) inserted = true
         si += 1
       }
-      if (!inserted) { bufGids(0)(m) = g.id; bufMasks(0)(m) = 2L; m += 1 }
+      if (!inserted) { bufGids(0)(m) = gid; bufMasks(0)(m) = 2L; m += 1 }
       ellSize(0) = m
 
       search(0, 1)
 
-      if (localPath != null && localBest > state.bestScore(g.id)) {
-        state.bestScore(g.id) = localBest
-        state.bestPath(g.id) = localPath
+      if (localPath != null && localBest > state.bestScore(gid)) {
+        state.bestScore(gid) = localBest
+        state.bestPath(gid) = localPath
       }
     }
 
     // SearchPivot (Algorithm 3) with local/global thresholds, max θ and the
     // expansion budget.
     private def search(depth: Int, node: Int): Unit = {
-      val targets = adjTargets(node)
-      val labelsPerEdge = adjLabels(node)
-      var e = 0
-      while (e < targets.length) {
-        val j = targets(e)
-        val labels = labelsPerEdge(e)
-        var li = 0
-        while (li < labels.length) {
-          val f = labels(li)
+      var e = nodeOff(node)
+      while (e < nodeOff(node + 1)) {
+        val j  = target(e)
+        var li = labOff(e)
+        while (li < labOff(e + 1)) {
+          val f = labs(li)
           ops += 1
           if (ops <= budget) {
             val sz = intersect(depth, f)
@@ -301,15 +341,15 @@ object Pivot {
       }
       if (score > localBest || localPath == null) {
         localBest = score
-        localPath = materialize(depth)
+        localPath = java.util.Arrays.copyOf(pathBuf, depth + 1)
       }
       if (cfg.globalThreshold && score > 1) {
-        var p: Vector[Label] = null
+        var p: Array[Int] = null
         k = 0
         while (k < m) {
           val gi = gids(k)
           if (((masks(k) >>> state.lastNode(gi)) & 1L) != 0L && score > state.bestScore(gi)) {
-            if (p == null) p = materialize(depth)
+            if (p == null) p = java.util.Arrays.copyOf(pathBuf, depth + 1)
             state.bestScore(gi) = score
             state.bestPath(gi) = p
           }
@@ -318,58 +358,51 @@ object Pivot {
       }
     }
 
-    private def materialize(depth: Int): Vector[Label] = {
-      val b = Vector.newBuilder[Label]
-      var k = 0
-      while (k <= depth) { b += pathBuf(k); k += 1 }
-      b.result()
-    }
-
     /** ℓ at `depth` ∩ I[f] → ℓ at depth+1 (adjacency-aware, Section 4.2). */
-    private def intersect(depth: Int, f: Label): Int = {
-      index.get(f) match {
-        case None => ellSize(depth + 1) = 0; 0
-        case Some((pGids, pEdges)) =>
-          val inG  = bufGids(depth)
-          val inM  = bufMasks(depth)
-          val m    = ellSize(depth)
-          val outG = bufGids(depth + 1)
-          val outM = bufMasks(depth + 1)
-          var o = 0
+    private def intersect(depth: Int, f: Int): Int = {
+      val p0   = index.postOff(f)
+      val p1   = index.postOff(f + 1)
+      val pGid = index.postGid
+      val inG  = bufGids(depth)
+      val inM  = bufMasks(depth)
+      val m    = ellSize(depth)
+      val outG = bufGids(depth + 1)
+      val outM = bufMasks(depth + 1)
+      var o = 0
 
-          @inline def emit(ga: Int, mask: Long, edges: Array[Int]): Unit = {
-            var acc = 0L
-            var k = 0
-            while (k < edges.length) {
-              val e2 = edges(k)
-              if (((mask >>> (e2 >>> 8)) & 1L) != 0L) acc |= 1L << (e2 & 0xff)
-              k += 1
-            }
-            if (acc != 0L) { outG(o) = ga; outM(o) = acc; o += 1 }
-          }
-
-          if (pGids.length > 8 * m) {
-            // postings much larger than ℓ (TransAgg pools): binary-search
-            // each live graph instead of walking the whole postings array
-            var a = 0
-            while (a < m) {
-              val ga = inG(a)
-              val b  = java.util.Arrays.binarySearch(pGids, ga)
-              if (b >= 0) emit(ga, inM(a), pEdges(b))
-              a += 1
-            }
-          } else {
-            var a = 0; var b = 0
-            while (a < m && b < pGids.length) {
-              val ga = inG(a); val gb = pGids(b)
-              if (ga < gb) a += 1
-              else if (ga > gb) b += 1
-              else { emit(ga, inM(a), pEdges(b)); a += 1; b += 1 }
-            }
-          }
-          ellSize(depth + 1) = o
-          o
+      @inline def emit(ga: Int, mask: Long, p: Int): Unit = {
+        var acc = 0L
+        var k   = index.edgeOff(p)
+        val end = index.edgeOff(p + 1)
+        while (k < end) {
+          val e2 = index.edges(k)
+          if (((mask >>> (e2 >>> 8)) & 1L) != 0L) acc |= 1L << (e2 & 0xff)
+          k += 1
+        }
+        if (acc != 0L) { outG(o) = ga; outM(o) = acc; o += 1 }
       }
+
+      if (p1 - p0 > 8 * m) {
+        // postings much larger than ℓ (TransAgg pools): binary-search
+        // each live graph instead of walking the whole postings array
+        var a = 0
+        while (a < m) {
+          val ga = inG(a)
+          val b  = java.util.Arrays.binarySearch(pGid, p0, p1, ga)
+          if (b >= 0) emit(ga, inM(a), b)
+          a += 1
+        }
+      } else {
+        var a = 0; var b = p0
+        while (a < m && b < p1) {
+          val ga = inG(a); val gb = pGid(b)
+          if (ga < gb) a += 1
+          else if (ga > gb) b += 1
+          else { emit(ga, inM(a), b); a += 1; b += 1 }
+        }
+      }
+      ellSize(depth + 1) = o
+      o
     }
   }
 }

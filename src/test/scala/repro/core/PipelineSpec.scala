@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.data.{ConsolidationGen, Judges}
 import org.apache.spark.sql.functions._
 
@@ -35,6 +35,28 @@ class PipelineSpec extends SparkSpec {
       .map(r => r.getLong(0) -> Option(r.getString(1))).toMap
     assert(golden(1L).isDefined)
     assert(golden(2L).isDefined)
+  }
+
+  test("NULL values pass through the pipeline unchanged (DuckDB oracle)") {
+    import spark.implicits._
+    val clusters = Seq[(Long, Long, String)](
+      (1L, 1L, "9 st, 02141 wisconsin"),
+      (1L, 2L, null),
+      (1L, 3L, "9th st, 02141 wi"),
+      (1L, 4L, "9 street, 02141 wi"),
+      (2L, 5L, null),
+      (2L, 6L, "3rd e ave, 33990 california"),
+    ).toDF("cluster", "recordId", "value")
+
+    val res = Pipeline.run(spark, clusters, Judges.address, cfg())
+    assert(res.decisions.nonEmpty)
+    val got = res.updated.where(col("value").isNull)
+      .select(col("cluster").cast("string").as("cluster"), col("recordId").cast("string").as("recordId"))
+    val sql = "SELECT cluster, recordId FROM t WHERE value IS NULL"
+    Oracle.assertEquivalent(got, sql, "t" -> clusters)
+    // the other rows of cluster 1 still merge
+    assert(res.updated.where(col("cluster") === 1 && col("value").isNotNull)
+      .select("value").distinct().count() == 1)
   }
 
   test("prepare produces ranked groups with timing metadata") {

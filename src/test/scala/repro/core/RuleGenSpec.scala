@@ -60,4 +60,24 @@ class RuleGenSpec extends SparkSpec {
         |""".stripMargin
     Oracle.assertEquivalent(got, sql, "t" -> df)
   }
+
+  test("NULL values generate no rules; rule values agree with the DuckDB oracle") {
+    val df = clustersDf(
+      (1, 1, "9 St"), (1, 2, null), (1, 3, "9th St"),
+      (2, 4, null), (2, 5, "x"),
+      (3, 6, null), (3, 7, null))
+    import spark.implicits._
+    val catalog = RuleGen.generate(spark, df)
+    val got = catalog.valuesIterator
+      .flatMap(r => (r.occA ++ r.occB).iterator.map(o => (o.cluster.toString, o.value)))
+      .toSeq.distinct.toDF("cluster", "value")
+    val sql =
+      """
+        |SELECT DISTINCT cluster, value FROM t
+        |WHERE value IS NOT NULL AND cluster IN (
+        |  SELECT cluster FROM t WHERE value IS NOT NULL
+        |  GROUP BY cluster HAVING COUNT(DISTINCT value) >= 2)
+        |""".stripMargin
+    Oracle.assertEquivalent(got, sql, "t" -> df)
+  }
 }
