@@ -69,7 +69,7 @@ object Applier {
 
     def directionFor(key: RuleKey, d: Decision): Option[Boolean] =
       d.memberDirs.get(key).orElse {
-        if (initialKeys(key.a + "" + key.b)) None else adopt(key, d)
+        if (initialKeys(keyString(key))) None else adopt(key, d)
       }
 
     def applyDecision(d: Decision): Boolean = {
@@ -112,7 +112,9 @@ object Applier {
     state.toMap
   }
 
-  /** Distributed application: one task per cluster group.
+  /** Distributed application: clusters are shuffled by id and the result
+    * comes back in `defaultParallelism` partitions, so the reduce tasks and
+    * every later read of the (typically cached) table run one task per core.
     * `clusters` has columns (cluster LONG, recordId LONG, value STRING).
     */
   def applyAll(spark: SparkSession, clusters: DataFrame,
@@ -129,8 +131,11 @@ object Applier {
         updated.iterator.map { case (rid, v) => (cid, rid, v) }
       }
       .toDF("cluster", "recordId", "value")
+      .coalesce(spark.sparkContext.defaultParallelism)
   }
 
-  /** Encode a rule key for the broadcast initial-keys set. */
-  def keyString(k: RuleKey): String = k.a + "" + k.b
+  /** Encode a rule key for the broadcast initial-keys set. The length prefix
+    * makes the encoding injective whatever characters the sides hold.
+    */
+  def keyString(k: RuleKey): String = s"${k.a.length}:${k.a}${k.b}"
 }

@@ -1,28 +1,33 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import scala.collection.mutable
 
 /** Truth-discovery substrate: majority consensus (MC). For each cluster the
   * golden value is the most frequent attribute value; a frequency tie means
   * MC cannot produce a golden value (Section 7.5) — the golden column is
-  * NULL in that case.
+  * NULL in that case. NULL counts as a value, so a NULL majority also gives
+  * a NULL golden.
   */
 object Consensus {
 
   /** `clusters`: (cluster LONG, recordId LONG, value STRING) →
-    * (cluster LONG, golden STRING nullable).
+    * (cluster LONG, golden STRING nullable). One shuffle by cluster; the
+    * values are counted per cluster inside the task.
     */
   def majority(spark: SparkSession, clusters: DataFrame): DataFrame = {
-    val counts = clusters.groupBy("cluster", "value").agg(count(lit(1)).as("cnt"))
-    val w      = Window.partitionBy("cluster")
-    counts
-      .withColumn("maxCnt", max(col("cnt")).over(w))
-      .where(col("cnt") === col("maxCnt"))
-      .groupBy("cluster")
-      .agg(
-        when(count(lit(1)) === 1, min(col("value"))).otherwise(lit(null)).as("golden")
-      )
+    import spark.implicits._
+    clusters.select("cluster", "value").as[(Long, String)]
+      .groupByKey(_._1)
+      .mapGroups { (cluster, rows) =>
+        val counts = mutable.HashMap.empty[String, Int]
+        for ((_, v) <- rows) counts(v) = counts.getOrElse(v, 0) + 1
+        val top = counts.valuesIterator.max
+        counts.filter(_._2 == top).keys.toSeq match {
+          case Seq(v) => (cluster, v)
+          case _      => (cluster, null: String)
+        }
+      }
+      .toDF("cluster", "golden")
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.SparkSession
-import repro.core.lang.{Label, PathCheck, Pivot, PivotConfig}
+import repro.core.lang.{Label, Pivot, PivotConfig}
 
 /** Aggregation methods compared in Section 7.1. */
 sealed trait AggMethod extends Serializable
@@ -47,69 +47,43 @@ object Grouping {
     case BothAgg => pivotGroups(spark, trans, cfg, byStructure = true)
   }
 
-  /** Distributed pivot grouping: partition the pool (by structure, or not),
-    * run the pivot-path search per partition inside executor tasks, collect
-    * the group descriptors to the driver.
+  /** Distributed pivot grouping: split the transformations into pools (one
+    * per structure, or a single pool) on the driver, bin-pack the pools onto
+    * at most `defaultParallelism` slots, and run each slot's pivot searches
+    * in one Spark task.
     */
   private def pivotGroups(spark: SparkSession, trans: Seq[Trans],
                           cfg: PivotConfig, byStructure: Boolean): Vector[RuleGroup] = {
-    import spark.implicits._
-
+    val pools = trans.groupBy(tr => if (byStructure) tr.structKey else "").toVector.sortBy(_._1)
+    if (pools.isEmpty) return Vector.empty
     val globalFreq = Pivot.constTermFreq(trans.map(_.lhs), cfg.graph.maxConstTermLen)
-    val bcFreq     = spark.sparkContext.broadcast(globalFreq)
-    val bcCfg      = spark.sparkContext.broadcast(cfg)
+    val slots      = binPack(pools, math.min(pools.size, spark.sparkContext.defaultParallelism))
 
-    val ds = spark.createDataset(trans.map(tr => (tr.lhs, tr.rhs)).toVector)
+    val searched = spark.sparkContext
+      .parallelize(slots, slots.size)
+      .flatMap(_.map { case (poolKey, pool) => poolKey -> Pivot.groupByPrograms(pool, cfg, globalFreq) })
+      .collect()
 
-    // rows: (poolKey, pathKey, serializedPath, lhs, rhs)
-    val grouped = ds
-      .groupByKey { case (lhs, rhs) =>
-        if (byStructure) Structure.ofTransformation(lhs, rhs) else ""
-      }
-      .flatMapGroups { (poolKey, it) =>
-        val pool   = it.map { case (l, r) => Trans(l, r) }.toVector
-        val groups = Pivot.groupByPrograms(pool, bcCfg.value, bcFreq.value)
-        groups.iterator.flatMap { g =>
-          val ser = serializePath(g.path)
-          g.members.iterator.map(m => (poolKey, g.pathKey, ser, m.lhs, m.rhs))
-        }
-      }
+    for ((poolKey, groups) <- searched.toVector.sortBy(_._1); g <- groups) yield RuleGroup(
+      id = s"prog:${poolKey.length}:$poolKey:${g.pathKey}",
+      structKey = if (byStructure) Some(poolKey) else None,
+      path = Some(g.path),
+      members = g.members.sortBy(tr => (tr.lhs, tr.rhs)),
+    )
+  }
 
-    // The shuffled byte size of the pools is tiny, so AQE would coalesce all
-    // structure groups into one task and serialize the CPU-bound pivot
-    // searches; keep the partitions so pools run in parallel.
-    val coalesceKey = "spark.sql.adaptive.coalescePartitions.enabled"
-    val prev = spark.conf.getOption(coalesceKey)
-    val rows =
-      try {
-        spark.conf.set(coalesceKey, "false")
-        grouped.collect()
-      } finally prev match {
-        case Some(v) => spark.conf.set(coalesceKey, v)
-        case None    => spark.conf.unset(coalesceKey)
-      }
-
-    rows.groupBy(r => (r._1, r._2)).toVector.sortBy(_._1).map { case ((poolKey, pathKey), ms) =>
-      val path = deserializePath(ms.head._3)
-      RuleGroup(
-        id = s"prog:${poolKey.length}:$poolKey:$pathKey",
-        structKey = if (byStructure) Some(poolKey) else None,
-        path = Some(path),
-        members = ms.toVector.map(r => Trans(r._4, r._5)).sortBy(tr => (tr.lhs, tr.rhs)),
-      )
+  /** Deals the pools onto `n` slots, largest pool first onto the slot with the
+    * fewest transformations so far, so the slots' tasks take similar time.
+    */
+  private def binPack(pools: Vector[(String, Seq[Trans])], n: Int): Vector[Vector[(String, Seq[Trans])]] = {
+    val slots = Vector.fill(n)(Vector.newBuilder[(String, Seq[Trans])])
+    val load  = new Array[Int](n)
+    for (pool <- pools.sortBy(-_._2.size)) {
+      val s = load.indices.minBy(load)
+      slots(s) += pool
+      load(s) += pool._2.size
     }
-  }
-
-  def serializePath(path: Vector[Label]): Array[Byte] = {
-    val bos = new java.io.ByteArrayOutputStream()
-    val oos = new java.io.ObjectOutputStream(bos)
-    oos.writeObject(path); oos.close()
-    bos.toByteArray
-  }
-
-  def deserializePath(bytes: Array[Byte]): Vector[Label] = {
-    val ois = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes))
-    try ois.readObject().asInstanceOf[Vector[Label]] finally ois.close()
+    slots.map(_.result())
   }
 
   /** Rank groups by aggregate frequency, descending (Section 6): the sum of

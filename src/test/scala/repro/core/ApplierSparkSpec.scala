@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.data.Judges
+import repro.data.{ConsolidationGen, Judges}
 
 /** Distributed application tests: Applier.applyAll over many clusters. */
 class ApplierSparkSpec extends SparkSpec {
@@ -47,6 +47,29 @@ class ApplierSparkSpec extends SparkSpec {
       (1L, 1L, "3 e avenue, 33990 ca"), (1L, 2L, "3rd e ave, 33990 california"),
       (2L, 3L, "9 st, 02141 wisconsin"), (2L, 4L, "9th street, 02141 wi"))
     assert(run(rows) == run(rows))
+  }
+
+  test("applyAll equals applyCluster mapped over the clusters in-process") {
+    import spark.implicits._
+    val clusters = ConsolidationGen.journalTitle(spark, sf = 0.01, seed = 3)
+      .select("cluster", "recordId", "value").cache()
+    val cfg      = PipelineConfig(pivot = GroupingGoldenSpec.pivotConfig("JournalTitle"))
+    val prepared = Pipeline.prepare(spark, clusters, cfg)
+    val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, Judges.journalTitle,
+      cfg.budget, cfg.agg)
+    val initialKeys = prepared.catalog.keysIterator.map(Applier.keyString).toSet
+    assert(decisions.nonEmpty)
+
+    val rows = clusters.as[(Long, Long, String)].collect().toVector
+    val local = rows.groupBy(_._1).toVector.flatMap { case (cid, rs) =>
+      Applier.applyCluster(cid, rs.map(r => r._2 -> r._3).toMap, decisions, initialKeys.contains)
+        .map { case (rid, v) => (cid, rid, v) }
+    }
+    val distributed = Applier.applyAll(spark, clusters, decisions, initialKeys)
+      .as[(Long, Long, String)].collect().toVector
+    assert(distributed.sorted == local.sorted)
+    assert(local.count(r => !rows.contains(r)) > 0) // some values changed
+    clusters.unpersist()
   }
 
   test("empty decisions pass through distributed path") {

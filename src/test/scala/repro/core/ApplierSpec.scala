@@ -96,6 +96,22 @@ class ApplierSpec extends AnyFunSuite {
     assert(out == records) // key existed initially and was not a member
   }
 
+  test("keyString is injective when a side holds \\u0001") {
+    assert(Applier.keyString(RuleKey("x\u0001y", "z")) != Applier.keyString(RuleKey("x", "y\u0001z")))
+  }
+
+  test("a new rule whose sides hold \\u0001 is adopted") {
+    // The new rule a\u0001st <-> a\u0001strasse is not in the initial catalog.
+    // Joining sides with \u0001 would give it the same key string as the
+    // initial rule a <-> st\u0001a\u0001strasse and block its adoption.
+    val (st, strasse) = ("a\u0001st", "a\u0001strasse")
+    val d = Decision(0, StructAgg, Some(Structure.ofTransformation(strasse, st)), None,
+      memberDirs = Map.empty, forward = true)
+    val initialKeys = Set(Applier.keyString(RuleKey("a", "st\u0001a\u0001strasse")))
+    val out = Applier.applyCluster(1, Map(1L -> strasse, 2L -> st), Vector(d), initialKeys.contains)
+    assert(out.values.toSet.size == 1, out)
+  }
+
   test("reverse direction replaces rhs with lhs") {
     val values = Seq("9 St", "9th St")
     val catalog = Rules.clusterRules(1, values)

@@ -39,6 +39,24 @@ class ConsensusSpec extends SparkSpec {
     assert(out == Map(1L -> Some("9th Street, 02141 WI"), 2L -> Some("3rd E Avenue, 33990 CA")))
   }
 
+  test("a NULL majority gives a NULL golden value") {
+    val in  = df((1, 1, null), (1, 2, null), (1, 3, "a"))
+    val out = Consensus.majority(spark, in).collect()
+    assert(out.length == 1 && out(0).getLong(0) == 1 && out(0).isNullAt(1))
+  }
+
+  test("a NULL-vs-value tie gives a NULL golden value") {
+    val in  = df((1, 1, null), (1, 2, "a"), (2, 3, "b"), (2, 4, "b"), (2, 5, null))
+    val out = Consensus.majority(spark, in).collect().map(r =>
+      r.getLong(0) -> Option(r.getString(1))).toMap
+    assert(out == Map(1L -> None, 2L -> Some("b")))
+  }
+
+  test("a cluster of NULLs only gives one row with a NULL golden value") {
+    val out = Consensus.majority(spark, df((7, 1, null), (7, 2, null))).collect()
+    assert(out.length == 1 && out(0).getLong(0) == 7 && out(0).isNullAt(1))
+  }
+
   test("majority agrees with the DuckDB oracle") {
     val in = df(
       (1, 1, "a"), (1, 2, "a"), (1, 3, "b"),
@@ -46,19 +64,34 @@ class ConsensusSpec extends SparkSpec {
       (3, 6, "q"), (3, 7, "q"), (3, 8, "q"), (3, 9, "r"), (3, 10, "r"))
     val got = Consensus.majority(spark, in)
       .select(col("cluster").cast("string").as("cluster"), col("golden"))
-    val sql =
-      """
-        |WITH counts AS (
-        |  SELECT cluster, value, COUNT(*) AS cnt FROM t GROUP BY cluster, value
-        |), m AS (
-        |  SELECT cluster, MAX(cnt) AS mx FROM counts GROUP BY cluster
-        |), top AS (
-        |  SELECT c.cluster, c.value FROM counts c JOIN m ON c.cluster = m.cluster AND c.cnt = m.mx
-        |)
-        |SELECT cluster, CASE WHEN COUNT(*) = 1 THEN MIN(value) ELSE NULL END AS golden
-        |FROM top GROUP BY cluster
-        |""".stripMargin
-    Oracle.assertEquivalent(got, sql, "t" -> in)
+    Oracle.assertEquivalent(got, OracleSql, "t" -> in)
+  }
+
+  /** MC in SQL: the single most frequent value per cluster, NULL on a tie. */
+  private val OracleSql =
+    """
+      |WITH counts AS (
+      |  SELECT cluster, value, COUNT(*) AS cnt FROM t GROUP BY cluster, value
+      |), m AS (
+      |  SELECT cluster, MAX(cnt) AS mx FROM counts GROUP BY cluster
+      |), top AS (
+      |  SELECT c.cluster, c.value FROM counts c JOIN m ON c.cluster = m.cluster AND c.cnt = m.mx
+      |)
+      |SELECT cluster, CASE WHEN COUNT(*) = 1 THEN MIN(value) ELSE NULL END AS golden
+      |FROM top GROUP BY cluster
+      |""".stripMargin
+
+  test("majority agrees with the DuckDB oracle on random clusters with NULLs and ties") {
+    val rnd  = new scala.util.Random(5)
+    val rows = for {
+      c <- 1 to 600
+      r <- 1 to 1 + rnd.nextInt(7)
+    } yield (c.toLong, c * 10L + r, Seq("a", "b", "c", null)(rnd.nextInt(4)))
+    val in  = df(rows: _*)
+    val got = Consensus.majority(spark, in.repartition(16))
+      .select(col("cluster").cast("string").as("cluster"), col("golden"))
+    Oracle.assertEquivalent(got, OracleSql, "t" -> in)
+    assert(got.where(col("golden").isNull).count() > 100) // ties and NULL majorities occur
   }
 
   test("empty input yields empty output") {

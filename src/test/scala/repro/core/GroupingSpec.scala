@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.core.lang.{PathCheck, PivotConfig}
+import repro.core.lang.{PathCheck, Pivot, PivotConfig}
 
 class GroupingSpec extends SparkSpec {
 
@@ -60,12 +60,33 @@ class GroupingSpec extends SparkSpec {
     assert(gs.size <= both.size)
   }
 
-  test("path serialization round-trips") {
-    val gs = Grouping.group(spark, Vector(Trans("Street", "St"), Trans("Avenue", "Ave")),
-      BothAgg, cfg)
-    for (g <- gs) {
-      val ser = Grouping.serializePath(g.path.get)
-      assert(Grouping.deserializePath(ser) == g.path.get)
+  /** (pool key, group id, path key, path, members) per group, in output order. */
+  private def described(gs: Vector[RuleGroup]) =
+    gs.map(g => (g.structKey.getOrElse(""), g.id, PathCheck.pathKey(g.path.get), g.path.get, g.members))
+
+  /** `Pivot.groupByPrograms` run in-process over each pool, pools by key. */
+  private def inProcess(pools: Vector[(String, Vector[Trans])], all: Vector[Trans], cfg: PivotConfig) = {
+    val freq = Pivot.constTermFreq(all.map(_.lhs), cfg.graph.maxConstTermLen)
+    for ((key, pool) <- pools.sortBy(_._1); g <- Pivot.groupByPrograms(pool, cfg, freq))
+      yield (key, s"prog:${key.length}:$key:${g.pathKey}", g.pathKey, g.path, g.members.sortBy(tr => (tr.lhs, tr.rhs)))
+  }
+
+  private val goldenPools = GroupingGoldenSpec.readTsv("golden/grouping_pools.tsv")
+    .groupBy(_(0)).toVector.sortBy(_._1)
+    .map { case (ds, rows) => ds -> rows.map(r => Trans(r(1), r(2))) }
+
+  test("BothAgg through Spark equals in-process groupByPrograms per structure pool") {
+    for ((ds, trans) <- goldenPools :+ ("handmade" -> pool)) {
+      val cfg = GroupingGoldenSpec.pivotConfig(ds)
+      val want = inProcess(trans.groupBy(_.structKey).toVector, trans, cfg)
+      assert(described(Grouping.group(spark, trans, BothAgg, cfg)) == want, ds)
+    }
+  }
+
+  test("TransAgg through Spark equals in-process groupByPrograms over the whole pool") {
+    for ((ds, trans) <- goldenPools :+ ("handmade" -> pool)) {
+      val cfg = GroupingGoldenSpec.pivotConfig(ds)
+      assert(described(Grouping.group(spark, trans, TransAgg, cfg)) == inProcess(Vector("" -> trans), trans, cfg), ds)
     }
   }
 
