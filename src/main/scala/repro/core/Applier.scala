@@ -39,16 +39,8 @@ object Applier {
       pairCache.getOrElseUpdate(k, Rules.pairRules(cluster, k._1, k._2))
     }
 
-    def currentRules(): Vector[MatchingRule] = {
-      val vs  = state.values.filter(_ != null).toVector.distinct.sorted
-      val acc = mutable.HashMap.empty[RuleKey, MatchingRule]
-      for (i <- vs.indices; j <- (i + 1) until vs.length; r <- pairRules(vs(i), vs(j)))
-        acc.updateWith(r.key) {
-          case Some(prev) => Some(prev.merge(r))
-          case None       => Some(r)
-        }
-      acc.values.toVector.sortBy(r => (r.key.a, r.key.b))
-    }
+    def currentRules(): Vector[MatchingRule] =
+      Rules.mergePairs(state.values)(pairRules).values.toVector.sortBy(r => (r.key.a, r.key.b))
 
     // Adoption decisions are stable for a given (rule, decision) pair.
     val adoptCache = mutable.HashMap.empty[(RuleKey, Int), Option[Boolean]]

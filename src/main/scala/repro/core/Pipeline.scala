@@ -10,7 +10,6 @@ final case class PipelineConfig(
     budget: Int = 100,
     pivot: PivotConfig = PivotConfig(),
     expert: ExpertConfig = ExpertConfig(),
-    includeFullValue: Boolean = true,
     seed: Long = 42,
 )
 
@@ -46,7 +45,7 @@ object Pipeline {
     */
   def prepare(spark: SparkSession, clusters: DataFrame, cfg: PipelineConfig): Prepared = {
     val t0      = System.nanoTime()
-    val catalog = RuleGen.generate(spark, clusters, cfg.includeFullValue)
+    val catalog = RuleGen.generate(spark, clusters)
     val t1      = System.nanoTime()
     val trans   = Selection.select(catalog.keys.toSeq, cfg.dir, cfg.seed)
     val groups  = Grouping.group(spark, trans, cfg.agg, cfg.pivot)

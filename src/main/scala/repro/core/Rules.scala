@@ -75,28 +75,32 @@ object Rules {
     * merged by canonical rule key. NULL values take part in no rule.
     */
   def clusterRules(cluster: Long, values: Seq[String],
-                   includeFullValue: Boolean = true): Map[RuleKey, MatchingRule] = {
-    val vs = values.filter(_ != null).distinct.sorted
-    val acc = scala.collection.mutable.HashMap.empty[RuleKey, MatchingRule]
-    for {
-      i <- vs.indices
-      j <- (i + 1) until vs.length
-      r <- pairRules(cluster, vs(i), vs(j), includeFullValue)
-    } acc.updateWith(r.key) {
-      case Some(prev) => Some(prev.merge(r))
-      case None       => Some(r)
-    }
-    acc.toMap
+                   includeFullValue: Boolean = true): Map[RuleKey, MatchingRule] =
+    mergePairs(values)(pairRules(cluster, _, _, includeFullValue)).toMap
+
+  /** `merge` of the rules `rulesOf` gives each unordered pair of distinct
+    * non-NULL values, the pairs taken in sorted order.
+    */
+  def mergePairs(values: Iterable[String])
+                (rulesOf: (String, String) => IterableOnce[MatchingRule]): collection.Map[RuleKey, MatchingRule] = {
+    val vs = values.iterator.filter(_ != null).toVector.distinct.sorted
+    merge(vs.indices.iterator.flatMap { i =>
+      ((i + 1) until vs.length).iterator.flatMap(j => rulesOf(vs(i), vs(j)))
+    })
   }
 
-  /** Merge per-cluster rule maps into one catalog. */
-  def mergeCatalog(maps: IterableOnce[Map[RuleKey, MatchingRule]]): Map[RuleKey, MatchingRule] = {
+  /** Merge rules by canonical key, uniting their replacement sets: the one
+    * merge behind a cluster's rules, the catalog and the Applier's rule view.
+    * The result is the merge's own hash map, so a caller that reads it once
+    * (the Applier, after every replacement) pays for no immutable copy.
+    */
+  def merge(rules: IterableOnce[MatchingRule]): collection.Map[RuleKey, MatchingRule] = {
     val acc = scala.collection.mutable.HashMap.empty[RuleKey, MatchingRule]
-    for (m <- maps.iterator; (k, r) <- m) acc.updateWith(k) {
+    for (r <- rules.iterator) acc.updateWith(r.key) {
       case Some(prev) => Some(prev.merge(r))
       case None       => Some(r)
     }
-    acc.toMap
+    acc
   }
 
   private def occOf(cluster: Long, v: String, toks: Vector[Token], from: Int, to: Int): Occ =

@@ -51,11 +51,12 @@ object Selection {
       }.groupBy(_._2.structKey)
 
     val keptStructs = scala.collection.mutable.HashSet.empty[String]
-    for (sk <- byStruct.keys.toVector.sorted) {
-      val partner = Structure.swap(sk)
+    for ((sk, members) <- byStruct.toVector.sortBy(_._1)) {
+      // Members share sk, so their reverses share the partner structure;
+      // byStruct(partner) always exists: both directions were generated.
+      val partner = members.head._2.reverse.structKey
       if (!keptStructs.contains(sk) && !keptStructs.contains(partner)) {
-        // byStruct(partner) always exists: both directions were generated.
-        val avgSelf    = avgLhsLen(byStruct(sk))
+        val avgSelf    = avgLhsLen(members)
         val avgPartner = avgLhsLen(byStruct(partner))
         val winner =
           if (avgSelf > avgPartner) sk

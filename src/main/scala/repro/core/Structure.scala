@@ -10,12 +10,17 @@ package repro.core
   *
   * Encoding: one char per term — 'd', 'l', 'C', 'b' for the regex terms and
   * the literal character for single-char terms. This is unambiguous because
-  * single-char terms are never alphanumeric or whitespace.
+  * single-char terms are never alphanumeric or whitespace. The one exception
+  * is a literal `Sep` term, written `SepTerm` ('x', an ASCII letter no other
+  * term produces), so a structure never holds `Sep`.
   */
 object Structure {
 
-  /** Separator for transformation structure keys; never occurs in attribute values. */
+  /** Separator for transformation structure keys; `of` never emits it. */
   final val Sep: Char = '\u0001'
+
+  /** How `of` writes a single-char term that is `Sep`. */
+  final val SepTerm: Char = 'x'
 
   /** Sentinel category for single-character terms. */
   final val SingleCharCat: Char = '\u0000'
@@ -34,8 +39,10 @@ object Structure {
     var i = 0
     while (i < s.length) {
       val cat = category(s.charAt(i))
-      if (cat == SingleCharCat) { sb.append(s.charAt(i)); i += 1 }
-      else {
+      if (cat == SingleCharCat) {
+        sb.append(if (s.charAt(i) == Sep) SepTerm else s.charAt(i))
+        i += 1
+      } else {
         sb.append(cat)
         i += 1
         while (i < s.length && category(s.charAt(i)) == cat) i += 1
@@ -44,28 +51,9 @@ object Structure {
     sb.toString
   }
 
-  /** Structure of a directed transformation lhs → rhs (Definition 2):
-    * the pair of side structures, joined with the control char \\u0001 (which cannot occur in data).
+  /** Structure of a directed transformation lhs → rhs (Definition 2): the
+    * pair of side structures joined with `Sep`. Neither side holds `Sep`, so
+    * the key is injective in the pair.
     */
   def ofTransformation(lhs: String, rhs: String): String = of(lhs) + Sep + of(rhs)
-
-  /** Whether two structure keys are "symmetric" (Section 5): the LHS structure
-    * of one equals the RHS structure of the other and vice versa.
-    */
-  def symmetric(key1: String, key2: String): Boolean = {
-    val Array(a1, b1) = splitKey(key1)
-    val Array(a2, b2) = splitKey(key2)
-    a1 == b2 && b1 == a2
-  }
-
-  /** The symmetric counterpart of a transformation structure key. */
-  def swap(key: String): String = {
-    val Array(a, b) = splitKey(key)
-    b + Sep + a
-  }
-
-  private def splitKey(key: String): Array[String] = {
-    val i = key.indexOf(Sep)
-    Array(key.substring(0, i), key.substring(i + 1))
-  }
 }

@@ -46,6 +46,14 @@ object Experiments {
     (r, (System.nanoTime() - t0) / 1000000)
   }
 
+  /** The aggregation methods in the order the tables print them. */
+  private val Methods = Seq[(String, AggMethod)](
+    "NoAgg" -> NoAgg, "StructAgg" -> StructAgg, "TransAgg" -> TransAgg, "BothAgg" -> BothAgg)
+
+  /** The direction-selection methods in the order the tables print them. */
+  private val Dirs = Seq[(String, DirMethod)](
+    "RandDir" -> RandDir, "LongDir" -> LongDir, "RevDir" -> RevDir, "BestDir" -> BestDir)
+
   /** Warm the JIT on a miniature pipeline so the first timed measurement is
     * not dominated by compilation (the C2 warm/cold gap is up to ~10x).
     */
@@ -58,8 +66,27 @@ object Experiments {
     ()
   }
 
-  private def values(spark: SparkSession, spec: DatasetSpec): DataFrame =
-    spec.gen(spark, spec.sf).select("cluster", "recordId", "value")
+  /** Run `body` on the dataset's (cluster, recordId, value) columns, cached
+    * and materialized first.
+    */
+  private def withValues[T](spark: SparkSession, spec: DatasetSpec)(body: DataFrame => T): T = {
+    val vals = spec.gen(spark, spec.sf).select("cluster", "recordId", "value").cache(); vals.count()
+    try body(vals) finally vals.unpersist()
+  }
+
+  /** A time table: one row per name in `rows`, one column of seconds per
+    * dataset; `times` runs one dataset's measurements, keyed by row name.
+    */
+  private def timeTable(title: String, specs: Seq[DatasetSpec], rows: Seq[String])
+                       (times: DatasetSpec => Map[String, Double]): String = {
+    val bySpec = specs.map(s => s.name -> times(s)).toMap
+    val sb = new StringBuilder
+    sb ++= title + "\n"
+    sb ++= f"${"Method"}%-10s" + specs.map(s => f"${s.name}%14s").mkString + "\n"
+    for (row <- rows)
+      sb ++= f"$row%-10s" + specs.map(s => f"${bySpec(s.name).getOrElse(row, Double.NaN)}%14.3f").mkString + "\n"
+    sb.toString
+  }
 
   // --------------------------------------------------------------------
   // Table 6: dataset details
@@ -81,65 +108,36 @@ object Experiments {
   //          plus NoAffix/Affix
   // --------------------------------------------------------------------
 
-  def table4(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
-    val methods = Seq[(String, AggMethod)](
-      "NoAgg" -> NoAgg, "StructAgg" -> StructAgg, "TransAgg" -> TransAgg, "BothAgg" -> BothAgg)
-    val rows = scala.collection.mutable.LinkedHashMap.empty[String, Map[String, Double]]
-
-    for (spec <- specs) {
-      val vals    = values(spark, spec).cache(); vals.count()
-      val catalog = RuleGen.generate(spark, vals)
-      val trans   = Selection.select(catalog.keys.toSeq, BestDir)
-      for ((mname, m) <- methods) {
-        val (_, ms) = timeMs(Grouping.group(spark, trans, m, spec.pivotConfig))
-        rows.getOrElseUpdate(mname, Map.empty)
-        rows(mname) += spec.name -> ms / 1000.0
+  def table4(spark: SparkSession, specs: Seq[DatasetSpec]): String =
+    timeTable("Table 4: aggregation time (seconds)", specs, Methods.map(_._1) ++ Seq("NoAffix", "Affix")) { spec =>
+      withValues(spark, spec) { vals =>
+        val catalog = RuleGen.generate(spark, vals)
+        val trans   = Selection.select(catalog.keys.toSeq, BestDir)
+        val byMethod = Methods.map { case (mname, m) =>
+          mname -> timeMs(Grouping.group(spark, trans, m, spec.pivotConfig))._2 / 1000.0
+        }.toMap
+        val noAffixCfg = spec.pivotConfig.copy(graph = GraphConfig(affix = false))
+        val noAffix    = timeMs(Grouping.group(spark, trans, BothAgg, noAffixCfg))._2 / 1000.0
+        byMethod + ("NoAffix" -> noAffix) + ("Affix" -> byMethod("BothAgg"))
       }
-      val noAffixCfg = spec.pivotConfig.copy(graph = GraphConfig(affix = false))
-      val (_, msNoAffix) = timeMs(Grouping.group(spark, trans, BothAgg, noAffixCfg))
-      rows.getOrElseUpdate("NoAffix", Map.empty)
-      rows("NoAffix") += spec.name -> msNoAffix / 1000.0
-      rows.getOrElseUpdate("Affix", Map.empty)
-      rows("Affix") += spec.name -> rows("BothAgg")(spec.name)
-      vals.unpersist()
     }
-
-    val sb = new StringBuilder
-    sb ++= "Table 4: aggregation time (seconds)\n"
-    sb ++= f"${"Method"}%-10s" + specs.map(s => f"${s.name}%14s").mkString + "\n"
-    for ((mname, per) <- rows)
-      sb ++= f"$mname%-10s" + specs.map(s => f"${per.getOrElse(s.name, Double.NaN)}%14.3f").mkString + "\n"
-    sb.toString
-  }
 
   // --------------------------------------------------------------------
   // Table 7: aggregation time (s) under each direction-selection method
   // --------------------------------------------------------------------
 
-  def table7(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
-    val dirs = Seq[(String, DirMethod)](
-      "RandDir" -> RandDir, "LongDir" -> LongDir, "RevDir" -> RevDir, "BestDir" -> BestDir)
-    val sb = new StringBuilder
-    sb ++= "Table 7: aggregation time (seconds) by transformation selection\n"
-    sb ++= f"${"Method"}%-10s" + specs.map(s => f"${s.name}%14s").mkString + "\n"
-    val rows = scala.collection.mutable.LinkedHashMap.empty[String, Map[String, Double]]
-    for (spec <- specs) {
-      val vals    = values(spark, spec).cache(); vals.count()
-      val catalog = RuleGen.generate(spark, vals)
-      for ((dname, d) <- dirs) {
-        val (_, ms) = timeMs {
-          val trans = Selection.select(catalog.keys.toSeq, d)
-          Grouping.group(spark, trans, BothAgg, spec.pivotConfig)
-        }
-        rows.getOrElseUpdate(dname, Map.empty)
-        rows(dname) += spec.name -> ms / 1000.0
+  def table7(spark: SparkSession, specs: Seq[DatasetSpec]): String =
+    timeTable("Table 7: aggregation time (seconds) by transformation selection", specs, Dirs.map(_._1)) { spec =>
+      withValues(spark, spec) { vals =>
+        val catalog = RuleGen.generate(spark, vals)
+        Dirs.map { case (dname, d) =>
+          dname -> timeMs {
+            val trans = Selection.select(catalog.keys.toSeq, d)
+            Grouping.group(spark, trans, BothAgg, spec.pivotConfig)
+          }._2 / 1000.0
+        }.toMap
       }
-      vals.unpersist()
     }
-    for ((dname, per) <- rows)
-      sb ++= f"$dname%-10s" + specs.map(s => f"${per.getOrElse(s.name, Double.NaN)}%14.3f").mkString + "\n"
-    sb.toString
-  }
 
   // --------------------------------------------------------------------
   // Table 5: precision improvement for majority consensus
@@ -173,8 +171,6 @@ object Experiments {
   def curvesAggregation(spark: SparkSession, specs: Seq[DatasetSpec],
                         budgets: Seq[Int] = Seq(10, 25, 50, 100),
                         nPairs: Int = 800): String = {
-    val methods = Seq[(String, AggMethod)](
-      "NoAgg" -> NoAgg, "StructAgg" -> StructAgg, "TransAgg" -> TransAgg, "BothAgg" -> BothAgg)
     val sb = new StringBuilder
     sb ++= "Figures 3-5 companion: precision/recall/MCC of merging duplicates\n"
     sb ++= f"${"Dataset"}%-14s ${"Method"}%-10s ${"#Groups"}%8s ${"Prec"}%7s ${"Recall"}%7s ${"MCC"}%7s\n"
@@ -182,7 +178,7 @@ object Experiments {
       val records = spec.gen(spark, spec.sf).cache(); records.count()
       val vals    = records.select("cluster", "recordId", "value")
       val pairs   = ConsolidationGen.samplePairs(spark, records, nPairs).cache(); pairs.count()
-      for ((mname, m) <- methods) {
+      for ((mname, m) <- Methods) {
         val cfg      = spec.pipelineConfig(agg = m)
         val prepared = Pipeline.prepare(spark, vals, cfg)
         for (b <- budgets) {
@@ -203,8 +199,6 @@ object Experiments {
 
   def curvesSelectionAffix(spark: SparkSession, specs: Seq[DatasetSpec],
                            budget: Int = 100, nPairs: Int = 800): String = {
-    val dirs = Seq[(String, DirMethod)](
-      "RandDir" -> RandDir, "LongDir" -> LongDir, "RevDir" -> RevDir, "BestDir" -> BestDir)
     val sb = new StringBuilder
     sb ++= s"Figures 6 and 8 companion: recall of merging at budget=$budget\n"
     sb ++= f"${"Dataset"}%-14s ${"Variant"}%-10s ${"Prec"}%7s ${"Recall"}%7s\n"
@@ -218,7 +212,7 @@ object Experiments {
         sb ++= f"${spec.name}%-14s $tag%-10s ${c.precision}%7.3f ${c.recall}%7.3f\n"
         res.updated.unpersist()
       }
-      for ((dname, d) <- dirs) run(dname, spec.pipelineConfig(dir = d, budget = budget))
+      for ((dname, d) <- Dirs) run(dname, spec.pipelineConfig(dir = d, budget = budget))
       run("NoAffix", spec.pipelineConfig(budget = budget)
         .copy(pivot = spec.pivotConfig.copy(graph = GraphConfig(affix = false))))
       run("Affix", spec.pipelineConfig(budget = budget))
@@ -240,8 +234,7 @@ object Experiments {
     val sb = new StringBuilder
     sb ++= s"Figure 7 companion: aggregation time (s) by pruning variant (budget=$searchBudget)\n"
     sb ++= f"${"Dataset"}%-14s ${"theta"}%5s" + variants.map(v => f"${v._1}%13s").mkString + "\n"
-    for (spec <- specs) {
-      val vals    = values(spark, spec).cache(); vals.count()
+    for (spec <- specs) withValues(spark, spec) { vals =>
       val catalog = RuleGen.generate(spark, vals)
       val trans   = Selection.select(catalog.keys.toSeq, BestDir)
       for (theta <- maxPathLens) {
@@ -252,7 +245,6 @@ object Experiments {
         }
         sb ++= f"${spec.name}%-14s $theta%5d" + times.map(t => f"$t%13.3f").mkString + "\n"
       }
-      vals.unpersist()
     }
     sb.toString
   }

@@ -64,11 +64,34 @@ class ConsensusSpec extends SparkSpec {
       (3, 6, "q"), (3, 7, "q"), (3, 8, "q"), (3, 9, "r"), (3, 10, "r"))
     val got = Consensus.majority(spark, in)
       .select(col("cluster").cast("string").as("cluster"), col("golden"))
-    Oracle.assertEquivalent(got, OracleSql, "t" -> in)
+    Oracle.assertEquivalent(got, ConsensusSpec.OracleSql, "t" -> in)
   }
 
-  /** MC in SQL: the single most frequent value per cluster, NULL on a tie. */
-  private val OracleSql =
+  test("majority agrees with the DuckDB oracle on random clusters with NULLs and ties") {
+    val rnd  = new scala.util.Random(5)
+    val rows = for {
+      c <- 1 to 600
+      r <- 1 to 1 + rnd.nextInt(7)
+    } yield (c.toLong, c * 10L + r, Seq("a", "b", "c", null)(rnd.nextInt(4)))
+    val in  = df(rows: _*)
+    val got = Consensus.majority(spark, in.repartition(16))
+      .select(col("cluster").cast("string").as("cluster"), col("golden"))
+    Oracle.assertEquivalent(got, ConsensusSpec.OracleSql, "t" -> in)
+    assert(got.where(col("golden").isNull).count() > 100) // ties and NULL majorities occur
+  }
+
+  test("empty input yields empty output") {
+    val in = df()
+    assert(Consensus.majority(spark, in).collect().isEmpty)
+  }
+}
+
+object ConsensusSpec {
+
+  /** MC in SQL over table `t`: the single most frequent value per cluster,
+    * NULL on a tie.
+    */
+  val OracleSql: String =
     """
       |WITH counts AS (
       |  SELECT cluster, value, COUNT(*) AS cnt FROM t GROUP BY cluster, value
@@ -80,22 +103,4 @@ class ConsensusSpec extends SparkSpec {
       |SELECT cluster, CASE WHEN COUNT(*) = 1 THEN MIN(value) ELSE NULL END AS golden
       |FROM top GROUP BY cluster
       |""".stripMargin
-
-  test("majority agrees with the DuckDB oracle on random clusters with NULLs and ties") {
-    val rnd  = new scala.util.Random(5)
-    val rows = for {
-      c <- 1 to 600
-      r <- 1 to 1 + rnd.nextInt(7)
-    } yield (c.toLong, c * 10L + r, Seq("a", "b", "c", null)(rnd.nextInt(4)))
-    val in  = df(rows: _*)
-    val got = Consensus.majority(spark, in.repartition(16))
-      .select(col("cluster").cast("string").as("cluster"), col("golden"))
-    Oracle.assertEquivalent(got, OracleSql, "t" -> in)
-    assert(got.where(col("golden").isNull).count() > 100) // ties and NULL majorities occur
-  }
-
-  test("empty input yields empty output") {
-    val in = df()
-    assert(Consensus.majority(spark, in).collect().isEmpty)
-  }
 }

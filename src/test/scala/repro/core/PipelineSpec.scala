@@ -59,6 +59,28 @@ class PipelineSpec extends SparkSpec {
       .select("value").distinct().count() == 1)
   }
 
+  test("values holding the structure-key separator go through the pipeline (DuckDB oracle)") {
+    import spark.implicits._
+    val clusters = Seq[(Long, Long, String)](
+      (1L, 1L, "9 st, 02141 wisconsin"),
+      (1L, 2L, "9th st,\u000102141 wi"),
+      (1L, 3L, "9th st, 02141 wi"),
+      (1L, 4L, "9 street, 02141 wi"),
+      (2L, 5L, "a\u0001"), (2L, 6L, "b"), (2L, 7L, "b"),
+      (3L, 8L, ""), (3L, 9L, "\u0001"), (3L, 10L, "\u0001"),
+    ).toDF("cluster", "recordId", "value")
+
+    val res = Pipeline.run(spark, clusters, Judges.address, cfg())
+    assert(res.decisions.nonEmpty)
+    assert(res.prepared.catalog.contains(RuleKey.of("a\u0001", "b")))
+    assert(res.prepared.trans.size == res.prepared.catalog.size)
+    assert(res.updated.select("cluster", "recordId").as[(Long, Long)].collect().toSet ==
+      clusters.select("cluster", "recordId").as[(Long, Long)].collect().toSet)
+    val got = Consensus.majority(spark, res.updated)
+      .select(col("cluster").cast("string").as("cluster"), col("golden"))
+    Oracle.assertEquivalent(got, ConsensusSpec.OracleSql, "t" -> res.updated)
+  }
+
   test("prepare produces ranked groups with timing metadata") {
     val addr = ConsolidationGen.address(spark, 0.01)
     val prepared = Pipeline.prepare(spark, addr.select("cluster", "recordId", "value"), cfg())

@@ -15,15 +15,17 @@ class RuleGenSpec extends SparkSpec {
       (1, 1, "9 St, 02141 Wisconsin"), (1, 2, "9th St, 02141 WI"), (1, 3, "9 Street, 02141 WI"),
       (2, 4, "H & M"), (2, 5, "H and M"), (2, 6, "H &amp; M"))
     val dist = RuleGen.generate(spark, df)
-    val local = Rules.mergeCatalog(Seq(
+    val local = Rules.merge(Seq(
       Rules.clusterRules(1, Seq("9 St, 02141 Wisconsin", "9th St, 02141 WI", "9 Street, 02141 WI")),
-      Rules.clusterRules(2, Seq("H & M", "H and M", "H &amp; M"))))
+      Rules.clusterRules(2, Seq("H & M", "H and M", "H &amp; M"))).flatMap(_.values))
     assert(dist == local)
   }
 
   test("rules merge across clusters") {
     val df = clustersDf((1, 1, "9 St"), (1, 2, "9th St"), (2, 3, "9 Ave"), (2, 4, "9th Ave"))
-    val catalog = RuleGen.generate(spark, df, includeFullValue = false)
+    val catalog = RuleGen.generate(spark, df)
+    assert(catalog.keySet == Set(RuleKey.of("9", "9th"),
+      RuleKey.of("9 St", "9th St"), RuleKey.of("9 Ave", "9th Ave")))
     val r = catalog(RuleKey.of("9", "9th"))
     assert(r.occA.map(_.cluster) == Set(1L, 2L))
     assert(r.frequency == 2)
@@ -31,8 +33,8 @@ class RuleGenSpec extends SparkSpec {
 
   test("values are deduplicated within a cluster") {
     val df = clustersDf((1, 1, "a x"), (1, 2, "a x"), (1, 3, "a y"))
-    val catalog = RuleGen.generate(spark, df, includeFullValue = false)
-    assert(catalog.keySet == Set(RuleKey.of("x", "y")))
+    val catalog = RuleGen.generate(spark, df)
+    assert(catalog.keySet == Set(RuleKey.of("x", "y"), RuleKey.of("a x", "a y")))
   }
 
   test("empty and singleton clusters produce nothing") {

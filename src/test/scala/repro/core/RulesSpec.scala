@@ -101,10 +101,10 @@ class RulesSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](RuleKey("b", "a"))
   }
 
-  test("mergeCatalog merges by key across clusters") {
+  test("merge unites rules by key across clusters") {
     val m1 = Rules.clusterRules(1, Seq("9 St", "9th St"), includeFullValue = false)
     val m2 = Rules.clusterRules(2, Seq("9 Ave", "9th Ave"), includeFullValue = false)
-    val merged = Rules.mergeCatalog(Seq(m1, m2))
+    val merged = Rules.merge(m1.valuesIterator ++ m2.valuesIterator)
     val r = merged(RuleKey.of("9", "9th"))
     assert(r.occA.map(_.cluster) == Set(1L, 2L))
   }

@@ -68,6 +68,15 @@ class SelectionSpec extends AnyFunSuite {
     assert(ts.map(_.structKey).distinct.size == 1)
   }
 
+  test("every method selects one transformation per rule whose sides hold the key separator") {
+    val k1 = RuleKey.of("a\u0001", "b")
+    val k2 = RuleKey.of("", "\u0001")
+    for (keys <- Seq(Seq(k1), Seq(k2), Seq(k1, k2)); m <- Seq(RandDir, LongDir, BestDir, RevDir)) {
+      val ts = Selection.select(keys, m)
+      assert(ts.size == keys.size && ts.map(_.key).toSet == keys.toSet, s"$m $keys: $ts")
+    }
+  }
+
   test("RandDir is deterministic in the seed") {
     val keys = Seq(("a", "bb"), ("c", "dd"), ("e", "ff")).map { case (a, b) => RuleKey.of(a, b) }
     assert(Selection.select(keys, RandDir, 1) == Selection.select(keys, RandDir, 1))

@@ -37,8 +37,8 @@ class StructureSpec extends AnyFunSuite {
   test("Example 5.1: java(tm)->java and linux->linux(r) have symmetric structures") {
     val k1 = Structure.ofTransformation("java(tm)", "java")
     val k2 = Structure.ofTransformation("linux", "linux(r)")
-    assert(Structure.symmetric(k1, k2))
-    assert(!Structure.symmetric(k1, k1)) // not self-symmetric (sides differ)
+    assert(Trans("java(tm)", "java").reverse.structKey == k2)
+    assert(Trans("java(tm)", "java").reverse.structKey != k1) // not self-symmetric (sides differ)
   }
 
   test("Example 5.1 resolution: java->java(tm) shares structure with linux->linux(r)") {
@@ -52,10 +52,11 @@ class StructureSpec extends AnyFunSuite {
     assert(Structure.ofTransformation("3", "5th") == k)
   }
 
-  test("swap is an involution and produces the symmetric key") {
-    val k = Structure.ofTransformation("9 St", "9th Street")
-    assert(Structure.swap(Structure.swap(k)) == k)
-    assert(Structure.symmetric(k, Structure.swap(k)))
+  test("reverse is an involution and gives the symmetric structure key") {
+    val t = Trans("9 St", "9th Street")
+    assert(t.reverse.reverse.structKey == t.structKey)
+    assert(t.reverse.structKey == Structure.of("9th Street") + Structure.Sep + Structure.of("9 St"))
+    assert(t.reverse.structKey != t.structKey)
   }
 
   test("category assignment is total and consistent with of()") {
@@ -69,6 +70,15 @@ class StructureSpec extends AnyFunSuite {
   test("structure with empty side in a transformation key") {
     val k = Structure.ofTransformation("", "th")
     assert(k == Structure.Sep + "l")
-    assert(Structure.swap(k) == "l" + Structure.Sep)
+    assert(Trans("", "th").reverse.structKey == "l" + Structure.Sep)
+  }
+
+  test("a literal separator is a term of its own and never appears in a structure") {
+    assert(Structure.of("\u0001") == Structure.SepTerm.toString)
+    assert(Structure.of("a\u0001b") == "lxl")
+    assert(Structure.of("x") == "l")
+    assert(Structure.ofTransformation("", "\u0001") != Structure.ofTransformation("\u0001", ""))
+    assert(Trans("a\u0001", "b").reverse.structKey == Structure.ofTransformation("b", "a\u0001"))
+    assert(Structure.ofTransformation("a\u0001", "b").count(_ == Structure.Sep) == 1)
   }
 }
