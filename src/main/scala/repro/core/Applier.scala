@@ -15,10 +15,10 @@ object Applier {
   /** Passes over the decision list (a later application can spawn a rule
     * adoptable by an earlier decision); bounded for termination.
     */
-  private val MaxPasses = 4
+  private[core] val MaxPasses = 4
 
   /** Max single-rule applications per cluster per pass; safety valve. */
-  private val MaxAppsPerPass = 500
+  private[core] val MaxAppsPerPass = 500
 
   /** Apply the decisions to one cluster. `initialKeys` is the set of rule
     * keys that existed in the initial catalog: those only apply through the
@@ -32,15 +32,9 @@ object Applier {
     if (decisions.isEmpty || records.size < 2) return records
     val state = mutable.HashMap.from(records)
 
-    // Per-pair rule cache; invalidated for pairs touching a changed value.
+    // A pair's rules depend only on its two values, so cached pairs never go
+    // stale: after a change the pairs of the new value are simply looked up.
     val pairCache = mutable.HashMap.empty[(String, String), Vector[MatchingRule]]
-    def pairRules(v1: String, v2: String): Vector[MatchingRule] = {
-      val k = if (v1 <= v2) (v1, v2) else (v2, v1)
-      pairCache.getOrElseUpdate(k, Rules.pairRules(cluster, k._1, k._2))
-    }
-
-    def currentRules(): Vector[MatchingRule] =
-      Rules.mergePairs(state.values)(pairRules).values.toVector.sortBy(r => (r.key.a, r.key.b))
 
     // Adoption decisions are stable for a given (rule, decision) pair.
     val adoptCache = mutable.HashMap.empty[(RuleKey, Int), Option[Boolean]]
@@ -59,39 +53,42 @@ object Applier {
         else None
       })
 
+    // Whether a key was in the initial catalog, looked up once per key: every
+    // current pair's rules are checked on every replacement.
+    val initial = mutable.HashMap.empty[RuleKey, Boolean]
     def directionFor(key: RuleKey, d: Decision): Option[Boolean] =
       d.memberDirs.get(key).orElse {
-        if (initialKeys(keyString(key))) None else adopt(key, d)
+        if (initial.getOrElseUpdate(key, initialKeys(keyString(key)))) None else adopt(key, d)
       }
+
+    /** The next replacement `d` makes, as (old value, new value): of the
+      * occurrences `d` may replace in the current rules, the first in
+      * (rule key, value, position) order whose replacement changes its value.
+      * A side's text fixes an occurrence's span end, so the order is total.
+      */
+    def nextHit(d: Decision): Option[(String, String)] = {
+      val replaceable = for {
+        (v1, v2)  <- Rules.valuePairs(state.values)
+        rule      <- pairCache.getOrElseUpdate((v1, v2), Rules.pairRules(cluster, v1, v2))
+        dirAIsLhs <- directionFor(rule.key, d).iterator
+        replaceA   = dirAIsLhs == d.forward // forward: replace lhs occurrences with rhs
+        o         <- if (replaceA) rule.occA else rule.occB
+      } yield (rule.key, o, if (replaceA) rule.key.b else rule.key.a)
+      replaceable.toVector.sortBy { case (k, o, _) => (k.a, k.b, o.value, o.p) }.iterator
+        .map { case (_, o, repl) => (o.value, Tokens.applyReplacement(o.value, o.p, o.q, repl)) }
+        .find { case (v, nv) => nv != v }
+    }
 
     def applyDecision(d: Decision): Boolean = {
-      var changedAny = false
-      var continue   = true
-      var apps       = 0
-      while (continue && apps < MaxAppsPerPass) {
-        continue = false
-        val rules = currentRules()
-        val hit = rules.iterator.flatMap { rule =>
-          directionFor(rule.key, d).iterator.map(dirAIsLhs => (rule, dirAIsLhs))
-        }.flatMap { case (rule, dirAIsLhs) =>
-          // forward: replace lhs occurrences with rhs
-          val replaceAOccs = if (d.forward) dirAIsLhs else !dirAIsLhs
-          val occs = if (replaceAOccs) rule.occA else rule.occB
-          val repl = if (replaceAOccs) rule.key.b else rule.key.a
-          occs.toVector.sortBy(o => (o.value, o.p)).iterator
-            .map(o => (o, Tokens.applyReplacement(o.value, o.p, o.q, repl)))
-            .find { case (o, nv) => nv != o.value }
-        }.nextOption()
-
-        hit.foreach { case (occ, newValue) =>
-          for ((rid, v) <- state if v == occ.value) state(rid) = newValue
-          pairCache.filterInPlace { case ((x, y), _) => x != occ.value && y != occ.value }
-          changedAny = true
-          continue = true
+      var apps = 0
+      var done = false
+      while (!done && apps < MaxAppsPerPass) nextHit(d) match {
+        case Some((value, newValue)) =>
+          state.mapValuesInPlace((_, v) => if (v == value) newValue else v)
           apps += 1
-        }
+        case None => done = true
       }
-      changedAny
+      apps > 0
     }
 
     var pass    = 0

@@ -30,7 +30,9 @@ final case class ExpertConfig(
       */
     sampleSize: Int = 5,
     seed: Long = 7,
-) extends Serializable
+) extends Serializable {
+  require(sampleSize >= 1, s"sampleSize must be >= 1, got $sampleSize")
+}
 
 object Expert {
 

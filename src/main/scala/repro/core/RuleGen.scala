@@ -17,7 +17,7 @@ object RuleGen {
       .select("cluster", "value").as[(Long, String)]
       .groupByKey(_._1)
       .flatMapGroups((cid, it) => Rules.clusterRules(cid, it.map(_._2).toSeq).valuesIterator)
-      .collect()).toMap
+      .collect())
   }
 
   /** Number of distinct within-cluster value pairs (the "distinct duplicate

@@ -76,31 +76,26 @@ object Rules {
     */
   def clusterRules(cluster: Long, values: Seq[String],
                    includeFullValue: Boolean = true): Map[RuleKey, MatchingRule] =
-    mergePairs(values)(pairRules(cluster, _, _, includeFullValue)).toMap
+    merge(valuePairs(values).flatMap { case (v1, v2) => pairRules(cluster, v1, v2, includeFullValue) })
 
-  /** `merge` of the rules `rulesOf` gives each unordered pair of distinct
-    * non-NULL values, the pairs taken in sorted order.
+  /** Every unordered pair `(v1, v2)` of distinct non-NULL values, `v1 < v2`,
+    * the pairs in sorted order.
     */
-  def mergePairs(values: Iterable[String])
-                (rulesOf: (String, String) => IterableOnce[MatchingRule]): collection.Map[RuleKey, MatchingRule] = {
+  def valuePairs(values: Iterable[String]): Iterator[(String, String)] = {
     val vs = values.iterator.filter(_ != null).toVector.distinct.sorted
-    merge(vs.indices.iterator.flatMap { i =>
-      ((i + 1) until vs.length).iterator.flatMap(j => rulesOf(vs(i), vs(j)))
-    })
+    vs.indices.iterator.flatMap(i => ((i + 1) until vs.length).iterator.map(j => (vs(i), vs(j))))
   }
 
   /** Merge rules by canonical key, uniting their replacement sets: the one
-    * merge behind a cluster's rules, the catalog and the Applier's rule view.
-    * The result is the merge's own hash map, so a caller that reads it once
-    * (the Applier, after every replacement) pays for no immutable copy.
+    * merge behind a cluster's rules and the catalog.
     */
-  def merge(rules: IterableOnce[MatchingRule]): collection.Map[RuleKey, MatchingRule] = {
+  def merge(rules: IterableOnce[MatchingRule]): Map[RuleKey, MatchingRule] = {
     val acc = scala.collection.mutable.HashMap.empty[RuleKey, MatchingRule]
     for (r <- rules.iterator) acc.updateWith(r.key) {
       case Some(prev) => Some(prev.merge(r))
       case None       => Some(r)
     }
-    acc
+    acc.toMap
   }
 
   private def occOf(cluster: Long, v: String, toks: Vector[Token], from: Int, to: Int): Occ =

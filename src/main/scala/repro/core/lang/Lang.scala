@@ -132,12 +132,8 @@ object Label {
   }
 
   /** Whether `label`, applied to `s`, can output exactly `out`. */
-  def canOutput(label: Label, s: String, out: String): Boolean = label match {
-    case ConstantStr(x) => x == out
-    case f: SubStrF     => evalDeterministic(f, s).contains(out)
-    case PrefixF(t, k)  => out.nonEmpty && kthMatch(t, k, s).exists(_.startsWith(out))
-    case SuffixF(t, k)  => out.nonEmpty && kthMatch(t, k, s).exists(_.endsWith(out))
-  }
+  def canOutput(label: Label, s: String, out: String): Boolean =
+    matchLengthsAt(label, s, out, 0).contains(out.length)
 
   /** All lengths `len` such that `label` on `s` can output `t[at, at+len)`
     * (0-based `at`). Used to check path consistency without building graphs.

@@ -77,29 +77,30 @@ object Pivot {
   def groupByPrograms(pool: Seq[Trans], cfg: PivotConfig,
                       globalConstFreq: Map[String, Int]): Vector[ProgGroup] = {
     val sorted = pool.distinct.sortBy(tr => (tr.lhs, tr.rhs)).toVector
-    if (sorted.isEmpty) return Vector.empty
-    // A singleton pool can never merge: any consistent program will do.
-    if (sorted.size == 1) {
-      val tr   = sorted.head
+    // A singleton pool can never merge, and an overlong transformation's
+    // graph carries no label but the whole rhs (node ids past 63 would also
+    // overflow the bitmask below): both get the program that outputs the rhs
+    // as one constant, or the empty program for an empty rhs.
+    val (searchable, fixed) =
+      if (sorted.size == 1) (Vector.empty[Trans], sorted)
+      else sorted.partition(tr =>
+        tr.lhs.length <= cfg.graph.maxSideLen && tr.rhs.length <= cfg.graph.maxSideLen)
+    val pivots = searchPivots(searchable, cfg, globalConstFreq) ++ fixed.map { tr =>
       val path = if (tr.rhs.isEmpty) Vector.empty[Label] else Vector[Label](ConstantStr(tr.rhs))
-      return Vector(ProgGroup(PathCheck.pathKey(path), path, sorted))
+      (PathCheck.pathKey(path), path)
     }
-
-    // Overlong transformations get the degenerate ConstantStr(t) pivot up
-    // front: their graphs carry no other labels, so they can only ever group
-    // with an identical rhs — and node ids past 63 would overflow the
-    // bitmask representation below.
-    val (searchable, overlong) = sorted.partition(tr =>
-      tr.lhs.length <= cfg.graph.maxSideLen && tr.rhs.length <= cfg.graph.maxSideLen)
-    val overlongGroups = overlong
-      .groupBy(_.rhs)
-      .iterator.map { case (rhs, ms) =>
-        val path = Vector[Label](ConstantStr(rhs))
-        ProgGroup(PathCheck.pathKey(path), path, ms)
-      }
+    (searchable ++ fixed).zip(pivots)
+      .groupBy { case (_, (key, _)) => key }
+      .iterator
+      .map { case (key, ms) => ProgGroup(key, ms.head._2._2, ms.map(_._1)) }
       .toVector
-    if (searchable.isEmpty) return overlongGroups.sortBy(_.pathKey)
+      .sortBy(_.pathKey)
+  }
 
+  /** The pivot path of each transformation of `searchable`, with its key. */
+  private def searchPivots(searchable: Vector[Trans], cfg: PivotConfig,
+                           globalConstFreq: Map[String, Int]): Vector[(String, Vector[Label])] = {
+    if (searchable.isEmpty) return Vector.empty
     val groupFreq = constTermFreq(searchable.map(_.lhs), cfg.graph.maxConstTermLen)
     val built     = GraphBuilder.buildPool(searchable.map(tr => (tr.lhs, tr.rhs)), cfg.graph,
                                            constScoreFn(groupFreq, globalConstFreq))
@@ -118,21 +119,12 @@ object Pivot {
 
     // Labels and path keys of the distinct pivot paths only.
     val paths = mutable.HashMap.empty[Seq[Int], (String, Vector[Label])]
-    def pivot(g: Int): (String, Vector[Label]) =
+    graphs.indices.toVector.map { g =>
       paths.getOrElseUpdate(state.bestPath(g).toSeq, {
         val path = state.bestPath(g).iterator.map(built.dict.label).toVector
         (PathCheck.pathKey(path), path)
       })
-    val searchGroups = graphs.indices.groupBy(pivot(_)._1)
-      .iterator
-      .map { case (key, gs) => ProgGroup(key, pivot(gs.head)._2, gs.map(searchable).toVector) }
-      .toVector
-    (searchGroups ++ overlongGroups)
-      .groupBy(_.pathKey)
-      .iterator
-      .map { case (key, gs) => ProgGroup(key, gs.head.path, gs.flatMap(_.members)) }
-      .toVector
-      .sortBy(_.pathKey)
+    }
   }
 
   /** Inverted index I (Section 4.2) over a pool's graphs, in flat arrays.

@@ -1,10 +1,15 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
-import repro.core.lang.{ConstantStr, Label}
+import repro.SparkSpec
+import repro.core.lang.{ConstantStr, Label, PathCheck}
+import repro.data.{ConsolidationGen, Judges}
+import scala.collection.mutable
 
-/** Local (single-cluster) tests of Section 6 application semantics. */
-class ApplierSpec extends AnyFunSuite {
+/** Local (single-cluster) tests of Section 6 application semantics. Spark
+  * only generates and groups the inputs of the differential cases.
+  */
+class ApplierSpec extends SparkSpec {
+  import ApplierSpec.reference
 
   /** Build decisions by running selection + grouping-free (NoAgg) confirm. */
   private def noAggDecisions(values: Seq[String], approve: (String, String) => Boolean,
@@ -129,13 +134,116 @@ class ApplierSpec extends AnyFunSuite {
     val key = RuleKey.of("aa", "bb")
     val d1 = Decision(0, NoAgg, None, None, Map(key -> true), forward = true)
     val d2 = Decision(1, NoAgg, None, None, Map(key -> true), forward = false)
-    val out = Applier.applyCluster(1, Map(1L -> "aa x", 2L -> "bb x"), Vector(d1, d2), _ => true)
+    val records = Map(1L -> "aa x", 2L -> "bb x")
+    val out = Applier.applyCluster(1, records, Vector(d1, d2), _ => true)
     assert(out.size == 2) // terminated
+    assert(out == reference(1, records, Vector(d1, d2), _ => true))
   }
+
+  test("two member rules of one decision apply: the lesser rule key goes first") {
+    // p <-> s and q <-> r both apply to "p q"; p <-> s sorts first, and once
+    // "p q" became "s q" no current pair has the rule q <-> r left.
+    val d = Decision(0, NoAgg, None, None,
+      memberDirs = Map(RuleKey.of("q", "r") -> true, RuleKey.of("p", "s") -> true), forward = true)
+    val records = Map(1L -> "p q", 2L -> "p r", 3L -> "s q")
+    val out = Applier.applyCluster(1, records, Vector(d), _ => true)
+    assert(out == Map(1L -> "s q", 2L -> "p r", 3L -> "s q"))
+    assert(out == reference(1, records, Vector(d), _ => true))
+  }
+
+  private lazy val generated = Seq(
+    ("AuthorList", ConsolidationGen.authorList(spark, sf = 0.03, seed = 5), Judges.authorList),
+    ("Address", ConsolidationGen.address(spark, sf = 0.03, seed = 5), Judges.address),
+    ("JournalTitle", ConsolidationGen.journalTitle(spark, sf = 0.01, seed = 5), Judges.journalTitle))
+
+  for (method <- Seq(NoAgg, StructAgg, TransAgg, BothAgg))
+    test(s"$method: applyCluster equals the merge-all-rules reference on generated clusters") {
+      import spark.implicits._
+      var changed = 0
+      for ((ds, clusters, judge) <- generated) {
+        val cfg      = PipelineConfig(agg = method, pivot = GroupingGoldenSpec.pivotConfig(ds))
+        val prepared = Pipeline.prepare(spark, clusters, cfg)
+        val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, judge, cfg.budget, method)
+        val initialKeys = prepared.catalog.keysIterator.map(Applier.keyString).toSet
+        val rows = clusters.select("cluster", "recordId", "value").as[(Long, Long, String)].collect()
+        for ((cid, rs) <- rows.groupBy(_._1)) {
+          val records = rs.map(r => r._2 -> r._3).toMap
+          val out     = Applier.applyCluster(cid, records, decisions, initialKeys.contains)
+          assert(out == reference(cid, records, decisions, initialKeys.contains), s"$ds cluster $cid")
+          changed += records.count { case (rid, v) => out(rid) != v }
+        }
+      }
+      assert(changed > 0)
+    }
 
   test("singleton cluster untouched") {
     val records = Map(1L -> "lonely")
     val d = Decision(0, NoAgg, None, None, Map(RuleKey.of("a", "b") -> true), forward = true)
     assert(Applier.applyCluster(1, records, Vector(d), _ => true) == records)
+  }
+}
+
+object ApplierSpec {
+
+  /** `Applier.applyCluster` by its first specification: before every
+    * replacement, merge the rules of every current value pair, scan them in
+    * rule-key order and each rule's replaceable occurrences in (value,
+    * position) order, and apply the first replacement that changes a value.
+    */
+  def reference(cluster: Long, records: Map[Long, String], decisions: Seq[Decision],
+                initialKeys: String => Boolean): Map[Long, String] = {
+    if (decisions.isEmpty || records.size < 2) return records
+    val state = mutable.HashMap.from(records)
+
+    def direction(key: RuleKey, d: Decision): Option[Boolean] = {
+      def matches(lhs: String, rhs: String): Boolean = d.method match {
+        case NoAgg     => false
+        case StructAgg => d.structKey.contains(Structure.ofTransformation(lhs, rhs))
+        case TransAgg  => d.path.exists(p => PathCheck.consistent(p, lhs, rhs))
+        case BothAgg =>
+          d.structKey.contains(Structure.ofTransformation(lhs, rhs)) &&
+            d.path.exists(p => PathCheck.consistent(p, lhs, rhs))
+      }
+      d.memberDirs.get(key).orElse {
+        if (initialKeys(Applier.keyString(key))) None
+        else if (matches(key.a, key.b)) Some(true)
+        else if (matches(key.b, key.a)) Some(false)
+        else None
+      }
+    }
+
+    def firstHit(d: Decision): Option[(String, String)] = {
+      val rules = Rules.merge(Rules.valuePairs(state.values).flatMap { case (v1, v2) =>
+        Rules.pairRules(cluster, v1, v2)
+      })
+      rules.values.toVector.sortBy(r => (r.key.a, r.key.b)).iterator.flatMap { rule =>
+        direction(rule.key, d).iterator.flatMap { dirAIsLhs =>
+          val replaceA = if (d.forward) dirAIsLhs else !dirAIsLhs
+          val repl     = if (replaceA) rule.key.b else rule.key.a
+          (if (replaceA) rule.occA else rule.occB).toVector.sortBy(o => (o.value, o.p)).iterator
+            .map(o => (o.value, Tokens.applyReplacement(o.value, o.p, o.q, repl)))
+            .find { case (v, nv) => nv != v }
+        }
+      }.nextOption()
+    }
+
+    var pass    = 0
+    var changed = true
+    while (changed && pass < Applier.MaxPasses) {
+      changed = false
+      for (d <- decisions.sortBy(_.rank)) {
+        var apps = 0
+        var hit  = firstHit(d)
+        while (hit.isDefined) {
+          val (v, nv) = hit.get
+          for ((rid, x) <- state if x == v) state(rid) = nv
+          changed = true
+          apps += 1
+          hit = if (apps < Applier.MaxAppsPerPass) firstHit(d) else None
+        }
+      }
+      pass += 1
+    }
+    state.toMap
   }
 }

@@ -33,6 +33,11 @@ class ConfigSpec extends AnyFunSuite {
 
   test("PivotConfig rejects searchBudget = -1") { rejects(PivotConfig(searchBudget = -1)) }
 
+  test("ExpertConfig rejects sampleSize = 0: an empty sample would approve every group unseen") {
+    repro.core.ExpertConfig(sampleSize = 1)
+    rejects(repro.core.ExpertConfig(sampleSize = 0))
+  }
+
   test("62-char sides get full graphs and pivot paths at maxSideLen = 62") {
     val cfg = GraphConfig(maxSideLen = 62, maxPosFnsPerPosition = 2, maxLabelsPerEdge = 2)
     val t   = "ab" * 31

@@ -90,6 +90,13 @@ class PivotSpec extends AnyFunSuite {
     assert(gs.head.pathKey == "ε")
   }
 
+  test("an overlong deletion shares the empty program with a short one") {
+    val overlong = "(" + "x" * 29 + ")" // 31 chars, past the default maxSideLen of 30
+    val pool     = Seq(Trans(overlong, ""), Trans("(tm)", ""))
+    val gs       = group(pool)
+    assert(gs.map(g => (g.pathKey, g.members.toSet)) == Vector(("ε", pool.toSet)))
+  }
+
   test("empty pool") {
     assert(group(Seq.empty) == Vector.empty)
   }
