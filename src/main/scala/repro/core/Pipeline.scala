@@ -9,8 +9,6 @@ final case class PipelineConfig(
     dir: DirMethod = BestDir,
     budget: Int = 100,
     pivot: PivotConfig = PivotConfig(),
-    expert: ExpertConfig = ExpertConfig(),
-    seed: Long = 42,
 )
 
 /** Rule catalog + ranked groups, reusable across expert budgets (the paper's
@@ -21,16 +19,12 @@ final case class Prepared(
     catalog: Map[RuleKey, MatchingRule],
     trans: Vector[Trans],
     ranked: Vector[RuleGroup],
-    ruleGenMillis: Long,
-    aggregationMillis: Long,
 )
 
 final case class PipelineResult(
     updated: DataFrame,
     prepared: Prepared,
     decisions: Vector[Decision],
-    confirmed: Int,
-    applyMillis: Long,
 )
 
 /** GoldenRecordCreation (Algorithm 1) for a single column, minus the final
@@ -39,38 +33,24 @@ final case class PipelineResult(
 object Pipeline {
 
   /** Steps 1–4: generate rules, select transformations, aggregate into
-    * groups, rank by aggregate frequency. `aggregationMillis` measures
-    * selection + grouping, matching the paper's "aggregation time" (rule
-    * generation is excluded there as negligible and reported separately).
+    * groups, rank by aggregate frequency.
     */
   def prepare(spark: SparkSession, clusters: DataFrame, cfg: PipelineConfig): Prepared = {
-    val t0      = System.nanoTime()
     val catalog = RuleGen.generate(spark, clusters)
-    val t1      = System.nanoTime()
-    val trans   = Selection.select(catalog.keys.toSeq, cfg.dir, cfg.seed)
+    val trans   = Selection.select(catalog.keys.toSeq, cfg.dir)
     val groups  = Grouping.group(spark, trans, cfg.agg, cfg.pivot)
-    val ranked  = Grouping.rank(groups, catalog)
-    val t2      = System.nanoTime()
-    Prepared(clusters, catalog, trans, ranked,
-      ruleGenMillis = (t1 - t0) / 1000000,
-      aggregationMillis = (t2 - t1) / 1000000)
+    Prepared(clusters, catalog, trans, Grouping.rank(groups, catalog))
   }
 
   /** Step 5: confirm the top-`budget` groups with the simulated expert and
-    * apply the approved ones across all clusters.
+    * apply the approved ones across all clusters. `updated` is cached.
     */
   def applyBudget(spark: SparkSession, prepared: Prepared, judge: RuleJudge,
                   budget: Int, cfg: PipelineConfig): PipelineResult = {
-    val (decisions, confirmed) =
-      Expert.confirmAll(prepared.ranked, prepared.catalog, judge, budget, cfg.agg, cfg.expert)
-    val initialKeys = prepared.catalog.keysIterator.map(Applier.keyString).toSet
-    val t0 = System.nanoTime()
-    val updated = Applier
-      .applyAll(spark, prepared.clusters, decisions, initialKeys)
-      .cache()
-    updated.count() // force
-    val t1 = System.nanoTime()
-    PipelineResult(updated, prepared, decisions, confirmed, (t1 - t0) / 1000000)
+    val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, judge, budget, cfg.agg)
+    val initialKeys    = prepared.catalog.keysIterator.map(Applier.keyString).toSet
+    val updated        = Applier.applyAll(spark, prepared.clusters, decisions, initialKeys).cache()
+    PipelineResult(updated, prepared, decisions)
   }
 
   def run(spark: SparkSession, clusters: DataFrame, judge: RuleJudge,

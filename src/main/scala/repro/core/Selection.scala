@@ -13,7 +13,8 @@ case object BestDir extends DirMethod
 object Selection {
 
   /** Select one directed transformation per rule key. Deterministic given
-    * the seed; the output order follows the sorted rule keys.
+    * the seed. RandDir and LongDir follow the sorted rule keys; BestDir and
+    * RevDir are sorted by `(lhs, rhs)`.
     */
   def select(keys: Seq[RuleKey], method: DirMethod, seed: Long = 42): Vector[Trans] = {
     val sorted = keys.distinct.sortBy(k => (k.a, k.b)).toVector
@@ -33,44 +34,34 @@ object Selection {
     else if (k.b.length > k.a.length) Trans(k.b, k.a)
     else Trans(k.b, k.a) // equal length: a <= b, pick the larger string as lhs
 
-  /** Appendix C. Case 1 (equal side structures): longer lhs. Case 2: generate
-    * both directions, aggregate by structure, and for each pair of symmetric
-    * structure groups keep the group whose average lhs is longer.
-    * `reverse = true` flips both choices (the RevDir baseline).
+  /** Appendix C. Case 1 (equal side structures): longer lhs. Case 2: per
+    * unordered pair of side structures `(x, y)`, `x < y`, keep the direction
+    * `x → y` or `y → x` whose average lhs over the pair's rules is longer;
+    * both directions count the same rules, so the totals decide. On a tie the
+    * direction with the smaller structure key `Structure.ofTransformation`
+    * wins. `reverse = true` flips both choices (the RevDir baseline).
     */
   private def bestDir(keys: Vector[RuleKey], reverse: Boolean): Vector[Trans] = {
-    val (case1, case2) = keys.partition(k => Structure.of(k.a) == Structure.of(k.b))
+    val (case1, case2) = keys
+      .map(k => (k, Structure.of(k.a), Structure.of(k.b)))
+      .partition { case (_, sa, sb) => sa == sb }
 
-    val out = Vector.newBuilder[Trans]
-    out ++= case1.map(k => if (reverse) longer(k).reverse else longer(k))
-
-    // Case 2: both directions, grouped by structure.
-    val byStruct: Map[String, Vector[(RuleKey, Trans)]] =
-      case2.flatMap { k =>
-        Vector((k, Trans(k.a, k.b)), (k, Trans(k.b, k.a)))
-      }.groupBy(_._2.structKey)
-
-    val keptStructs = scala.collection.mutable.HashSet.empty[String]
-    for ((sk, members) <- byStruct.toVector.sortBy(_._1)) {
-      // Members share sk, so their reverses share the partner structure;
-      // byStruct(partner) always exists: both directions were generated.
-      val partner = members.head._2.reverse.structKey
-      if (!keptStructs.contains(sk) && !keptStructs.contains(partner)) {
-        val avgSelf    = avgLhsLen(members)
-        val avgPartner = avgLhsLen(byStruct(partner))
-        val winner =
-          if (avgSelf > avgPartner) sk
-          else if (avgPartner > avgSelf) partner
-          else math.Ordering.String.min(sk, partner)
-        keptStructs += (if (reverse) (if (winner == sk) partner else sk) else winner)
+    val kept = case2
+      .map { case (k, sa, sb) => if (sa < sb) (Trans(k.a, k.b), sa, sb) else (Trans(k.b, k.a), sb, sa) }
+      .groupBy { case (_, x, y) => (x, y) }
+      .iterator
+      .flatMap { case ((x, y), members) =>
+        val xy = members.foldLeft(0L)(_ + _._1.lhs.length)
+        val yx = members.foldLeft(0L)(_ + _._1.rhs.length)
+        // the joined keys, not (x, y): a literal \u0000 term sorts below Sep
+        val keepXY =
+          if (xy != yx) xy > yx
+          else s"$x${Structure.Sep}$y" < s"$y${Structure.Sep}$x"
+        members.iterator.map { case (tr, _, _) => if (keepXY != reverse) tr else tr.reverse }
       }
-    }
-    for ((sk, members) <- byStruct if keptStructs.contains(sk); (_, tr) <- members)
-      out += tr
 
-    out.result().sortBy(tr => (tr.lhs, tr.rhs))
+    (case1.iterator.map { case (k, _, _) => if (reverse) longer(k).reverse else longer(k) } ++ kept)
+      .toVector
+      .sortBy(tr => (tr.lhs, tr.rhs))
   }
-
-  private def avgLhsLen(members: Vector[(RuleKey, Trans)]): Double =
-    members.map(_._2.lhs.length).sum.toDouble / members.length
 }

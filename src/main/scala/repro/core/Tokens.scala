@@ -36,15 +36,17 @@ object Tokens {
     if (from > to) "" else s.substring(tokens(from).begin - 1, tokens(to).end)
 
   /** Replace the 1-based inclusive span `[p, q]` of `v` with `repl`
-    * (`q = p - 1` denotes an empty span, i.e., pure insertion at `p`),
-    * then collapse any doubled whitespace the edit may have created and trim.
+    * (`q = p - 1` denotes an empty span, i.e., pure insertion at `p`).
+    * Each of the two seams, where the kept text meets the replacement,
+    * becomes one space, or nothing at an edge of the result; whitespace
+    * elsewhere in `v` and inside `repl` is kept as it is.
     */
   def applyReplacement(v: String, p: Int, q: Int, repl: String): String = {
     require(p >= 1 && q >= p - 1 && q <= v.length, s"bad span [$p,$q] on '$v'")
-    // Spans always cover whole token runs, so padding the replacement with
-    // spaces (and collapsing doubles) keeps token boundaries intact even for
-    // insertions (q = p - 1) and deletions (repl = "").
-    val edited = v.substring(0, p - 1) + " " + repl + " " + v.substring(q)
-    edited.replaceAll("\\s+", " ").trim
+    // Spans always cover whole token runs, so a seam of one space keeps token
+    // boundaries intact even for insertions and deletions (repl = "").
+    Iterator(v.substring(0, p - 1).stripTrailing(), repl.strip(), v.substring(q).stripLeading())
+      .filter(_.nonEmpty)
+      .mkString(" ")
   }
 }

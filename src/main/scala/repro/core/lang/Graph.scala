@@ -49,26 +49,6 @@ final class IntGraph(val s: String, val t: String, val nodeOff: Array[Int], val 
 
   /** The label `ConstantStr(t)` of edge (1, |t|+1); `t` must be non-empty. */
   def wholeConst: Int = labs(labOff(nodeOff(1) + 1) - 1)
-
-  /** The same graph with every label `l` replaced by `rep(l)`, keeping the
-    * first of any labels that become equal on an edge.
-    */
-  def mapLabels(rep: Array[Int]): IntGraph = {
-    val off = new Array[Int](labOff.length)
-    val out = new Array[Int](labs.length)
-    var o   = 0
-    for (e <- target.indices) {
-      for (k <- labOff(e) until labOff(e + 1)) {
-        val l = rep(labs(k))
-        var seen = false
-        var q = off(e)
-        while (!seen && q < o) { seen = out(q) == l; q += 1 }
-        if (!seen) { out(o) = l; o += 1 }
-      }
-      off(e + 1) = o
-    }
-    new IntGraph(s, t, nodeOff, target, off, java.util.Arrays.copyOf(out, o))
-  }
 }
 
 /** The graphs of one pool, sharing one interned [[LangDict]]. */
@@ -111,7 +91,9 @@ object GraphBuilder {
     val ids  = dict.number(raw.map(_.codes))
     val graphs = raw.map { r =>
       val labs = r.codes.map(ids.get)
-      // every edge's capped labels in static (= id) order, its ConstantStr last
+      // Every edge's capped labels in static (= id) order, its ConstantStr
+      // last: ConstantStr has the top static rank, so the ids strictly
+      // ascend along each edge. The pivot search's alias skip relies on it.
       for (e <- r.target.indices) java.util.Arrays.sort(labs, r.labOff(e), r.labOff(e + 1) - 1)
       new IntGraph(r.s, r.t, r.nodeOff, r.target, r.labOff, labs)
     }

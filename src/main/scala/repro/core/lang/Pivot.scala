@@ -17,7 +17,6 @@ final case class PivotConfig(
       * random sample of Σ instead of all of it. 0 disables sampling.
       */
     sampleCap: Int = 96,
-    sampleSeed: Long = 97,
     /** Hard cap on (edge, label) expansions per graph search — the same
       * "control its runtime in a reasonable manner" role as θ (Section 4.3),
       * needed because our substrate is JVM-based, not the paper's C++.
@@ -47,6 +46,9 @@ final case class ProgGroup(pathKey: String, path: Vector[Label], members: Vector
   * verbatim.
   */
 object Pivot {
+
+  /** Seed of the Appendix-B sample of a pool. */
+  private final val SampleSeed = 97L
 
   /** Counts of constant-string-term candidates over the lhs strings of a set
     * of transformations: +1 per transformation whose lhs contains the
@@ -106,20 +108,13 @@ object Pivot {
                                            constScoreFn(groupFreq, globalConstFreq))
     val index     = new LabelIndex(built.graphs, built.dict.numLabels)
 
-    // Labels with identical postings are interchangeable during the search
-    // (same ℓ trajectory, same scores); exploring every alias only multiplies
-    // the branching factor. Search with one static-order representative per
-    // postings.
-    val rep    = index.representatives()
-    val graphs = built.graphs.map(_.mapLabels(rep))
-
     val state    = new SearchState(built.graphs, cfg)
-    val searcher = new Searcher(state, graphs, index, cfg)
-    for (g <- graphs.indices) searcher.searchGraph(g)
+    val searcher = new Searcher(state, built.graphs, index, index.representatives(), cfg)
+    for (g <- built.graphs.indices) searcher.searchGraph(g)
 
     // Labels and path keys of the distinct pivot paths only.
     val paths = mutable.HashMap.empty[Seq[Int], (String, Vector[Label])]
-    graphs.indices.toVector.map { g =>
+    built.graphs.indices.toVector.map { g =>
       paths.getOrElseUpdate(state.bestPath(g).toSeq, {
         val path = state.bestPath(g).iterator.map(built.dict.label).toVector
         (PathCheck.pathKey(path), path)
@@ -218,7 +213,7 @@ object Pivot {
     }
     val sample: Array[Int] =
       if (cfg.sampleCap == 0 || n <= cfg.sampleCap) Array.range(0, n)
-      else new scala.util.Random(cfg.sampleSeed).shuffle((0 until n).toVector)
+      else new scala.util.Random(SampleSeed).shuffle((0 until n).toVector)
         .take(cfg.sampleCap).sorted.toArray
     val maxScore: Int = math.min(n, sample.length + 1) // sample plus the searched graph
   }
@@ -226,11 +221,20 @@ object Pivot {
   /** FindingPivotPath (Algorithms 2–3) over a pool, sharing the global
     * threshold state across graphs. Flat arrays + merge-join intersections:
     * the hot recursion must stay JIT-friendly (DESIGN.md §6).
+    *
+    * Labels with identical postings are interchangeable during the search
+    * (same ℓ trajectory, same scores); exploring every alias only multiplies
+    * the branching factor. The search skips every label `f` with
+    * `rep(f) != f`. An alias shares every edge with its representative, the
+    * smaller id, and an edge's labels ascend by id, so the representative is
+    * met first and the search order equals that over graphs with the aliases
+    * removed.
     */
   private final class Searcher(
       state: SearchState,
       graphs: Vector[IntGraph],
       index: LabelIndex,
+      rep: Array[Int],
       cfg: PivotConfig) {
 
     private val maxDepth = cfg.maxPathLen
@@ -300,17 +304,19 @@ object Pivot {
         var li = labOff(e)
         while (li < labOff(e + 1)) {
           val f = labs(li)
-          ops += 1
-          if (ops <= budget) {
-            val sz = intersect(depth, f)
-            if (sz > 0) {
-              pathBuf(depth) = f
-              if (j == gLastNode) {
-                complete(depth)
-              } else if (depth + 1 < maxDepth &&
-                         (!cfg.localThreshold || sz > localBest)) {
-                // |ℓ'| bounds any completion below here (local threshold)
-                search(depth + 1, j)
+          if (rep(f) == f) {
+            ops += 1
+            if (ops <= budget) {
+              val sz = intersect(depth, f)
+              if (sz > 0) {
+                pathBuf(depth) = f
+                if (j == gLastNode) {
+                  complete(depth)
+                } else if (depth + 1 < maxDepth &&
+                           (!cfg.localThreshold || sz > localBest)) {
+                  // |ℓ'| bounds any completion below here (local threshold)
+                  search(depth + 1, j)
+                }
               }
             }
           }

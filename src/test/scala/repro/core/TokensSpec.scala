@@ -73,6 +73,15 @@ class TokensSpec extends AnyFunSuite {
     assert(Tokens.applyReplacement("a b", 1, 3, "x y") == "x y")
   }
 
+  test("applyReplacement keeps whitespace outside the edit") {
+    assert(Tokens.applyReplacement("a\tb c", 5, 5, "d") == "a\tb d")
+    assert(Tokens.applyReplacement("a  b c", 6, 6, "") == "a  b")
+  }
+
+  test("applyReplacement of whole value returns the replacement verbatim") {
+    assert(Tokens.applyReplacement("a b", 1, 3, "x  y") == "x  y")
+  }
+
   test("applyReplacement rejects bad spans") {
     intercept[IllegalArgumentException](Tokens.applyReplacement("abc", 0, 1, "x"))
     intercept[IllegalArgumentException](Tokens.applyReplacement("abc", 2, 5, "x"))

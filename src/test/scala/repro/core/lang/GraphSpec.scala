@@ -1,6 +1,7 @@
 package repro.core.lang
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{GroupingGoldenSpec, Structure}
 
 class GraphSpec extends AnyFunSuite {
 
@@ -106,5 +107,25 @@ class GraphSpec extends AnyFunSuite {
     val pf = GraphBuilder.positionFunctions(s, GraphConfig(), _ => 0.0)
     for ((x, ps) <- pf; p <- ps)
       assert(Pos.eval(p, s) == Some(x), s"pos fn ${p.key} at $x")
+  }
+
+  test("buildPool: every edge's label ids strictly ascend on the golden pools") {
+    // the pivot search's alias skip relies on this order
+    var edges = 0
+    for ((ds, rows) <- GroupingGoldenSpec.readTsv("golden/grouping_pools.tsv").groupBy(_(0))) {
+      val sides  = rows.map(r => (r(1), r(2)))
+      val global = Pivot.constTermFreq(sides.map(_._1), cfg.maxConstTermLen)
+      // the TransAgg pool, then the BothAgg pools of one structure each
+      val pools  = sides +: sides.groupBy { case (l, r) => Structure.ofTransformation(l, r) }.values.toVector
+      for (pool <- pools) {
+        val score = Pivot.constScoreFn(Pivot.constTermFreq(pool.map(_._1), cfg.maxConstTermLen), global)
+        for (g <- GraphBuilder.buildPool(pool, cfg, score).graphs; e <- g.target.indices) {
+          for (k <- g.labOff(e) + 1 until g.labOff(e + 1))
+            assert(g.labs(k - 1) < g.labs(k), s"$ds: ${g.s} -> ${g.t}, edge $e")
+          edges += 1
+        }
+      }
+    }
+    assert(edges > 0)
   }
 }
