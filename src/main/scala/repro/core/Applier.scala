@@ -5,10 +5,12 @@ import repro.core.lang.PathCheck
 import scala.collection.mutable
 
 /** Applying approved matching-rule groups to the clusters (Section 6),
-  * including the incremental maintenance the paper describes: after a value
-  * changes, its matching rules are re-derived against the rest of the
-  * cluster, and newly generated rules that fall into an already-approved
-  * group are applied directly.
+  * including the incremental maintenance the paper describes: the rules of a
+  * cluster are indexed by key once per cluster state, and that index is
+  * rebuilt from the current value pairs after every change, so newly
+  * generated rules that fall into an already-approved group are applied
+  * directly. Only decisions that adopt such rules consult the initial
+  * catalog's keys, and `applyAll` ships those keys only when one does.
   */
 object Applier {
 
@@ -17,14 +19,15 @@ object Applier {
     */
   private[core] val MaxPasses = 4
 
-  /** Max single-rule applications per cluster per pass; safety valve. */
+  /** Max single-rule applications per decision per pass; safety valve. */
   private[core] val MaxAppsPerPass = 500
 
   /** Apply the decisions to one cluster. `initialKeys` is the set of rule
     * keys that existed in the initial catalog: those only apply through the
     * group they were assigned to (`memberDirs`), while *new* keys may be
-    * adopted by any approved group whose criteria they satisfy. NULL values
-    * take part in no rule and stay NULL.
+    * adopted by any approved group whose criteria they satisfy
+    * (`Decision.adopts`; `initialKeys` is not read for other decisions).
+    * NULL values take part in no rule and stay NULL.
     */
   def applyCluster(cluster: Long, records: Map[Long, String],
                    decisions: Seq[Decision],
@@ -53,30 +56,46 @@ object Applier {
         else None
       })
 
-    // Whether a key was in the initial catalog, looked up once per key: every
-    // current pair's rules are checked on every replacement.
+    // Whether a key was in the initial catalog, looked up once per key.
     val initial = mutable.HashMap.empty[RuleKey, Boolean]
-    def directionFor(key: RuleKey, d: Decision): Option[Boolean] =
-      d.memberDirs.get(key).orElse {
-        if (initial.getOrElseUpdate(key, initialKeys(keyString(key)))) None else adopt(key, d)
-      }
+    def isInitial(key: RuleKey): Boolean = initial.getOrElseUpdate(key, initialKeys(keyString(key)))
+
+    /** The current pairs' rules by key, shared by every decision until a
+      * value is rewritten. `fresh` holds its keys outside the initial
+      * catalog: the only keys a decision may adopt.
+      */
+    final class RuleIndex {
+      val rules = mutable.HashMap.empty[RuleKey, List[MatchingRule]]
+      for ((v1, v2) <- Rules.valuePairs(state.values);
+           rule     <- pairCache.getOrElseUpdate((v1, v2), Rules.pairRules(cluster, v1, v2)))
+        rules.updateWith(rule.key)(rs => Some(rule :: rs.getOrElse(Nil)))
+      lazy val fresh: Vector[RuleKey] = rules.keysIterator.filterNot(isInitial).toVector
+    }
+    var index: RuleIndex = null // dropped whenever a value is rewritten
 
     /** The next replacement `d` makes, as (old value, new value): of the
       * occurrences `d` may replace in the current rules, the first in
       * (rule key, value, position) order whose replacement changes its value.
       * A side's text fixes an occurrence's span end, so the order is total.
+      * A key applies through `memberDirs` or, if `d` adopts and the key is
+      * not in the initial catalog, through adoption.
       */
     def nextHit(d: Decision): Option[(String, String)] = {
-      val replaceable = for {
-        (v1, v2)  <- Rules.valuePairs(state.values)
-        rule      <- pairCache.getOrElseUpdate((v1, v2), Rules.pairRules(cluster, v1, v2))
-        dirAIsLhs <- directionFor(rule.key, d).iterator
-        replaceA   = dirAIsLhs == d.forward // forward: replace lhs occurrences with rhs
-        o         <- if (replaceA) rule.occA else rule.occB
-      } yield (rule.key, o, if (replaceA) rule.key.b else rule.key.a)
-      replaceable.toVector.sortBy { case (k, o, _) => (k.a, k.b, o.value, o.p) }.iterator
-        .map { case (_, o, repl) => (o.value, Tokens.applyReplacement(o.value, o.p, o.q, repl)) }
-        .find { case (v, nv) => nv != v }
+      if (index == null) index = new RuleIndex
+      val rules = index.rules
+      val members =
+        if (d.memberDirs.size <= rules.size) d.memberDirs.iterator.filter(kv => rules.contains(kv._1))
+        else rules.keysIterator.flatMap(k => d.memberDirs.get(k).map(k -> _))
+      val adopted =
+        if (!d.adopts) Iterator.empty
+        else index.fresh.iterator.filterNot(d.memberDirs.contains).flatMap(k => adopt(k, d).map(k -> _))
+      val keys = (members ++ adopted).toVector.sortBy { case (k, _) => (k.a, k.b) }
+      keys.iterator.flatMap { case (k, dirAIsLhs) =>
+        val replaceA = dirAIsLhs == d.forward // forward: replace lhs occurrences with rhs
+        val repl     = if (replaceA) k.b else k.a
+        rules(k).flatMap(r => if (replaceA) r.occA else r.occB).sortBy(o => (o.value, o.p)).iterator
+          .map(o => (o.value, Tokens.applyReplacement(o.value, o.p, o.q, repl)))
+      }.find { case (v, nv) => nv != v }
     }
 
     def applyDecision(d: Decision): Boolean = {
@@ -85,17 +104,19 @@ object Applier {
       while (!done && apps < MaxAppsPerPass) nextHit(d) match {
         case Some((value, newValue)) =>
           state.mapValuesInPlace((_, v) => if (v == value) newValue else v)
+          index = null
           apps += 1
         case None => done = true
       }
       apps > 0
     }
 
+    val ranked  = decisions.sortBy(_.rank)
     var pass    = 0
     var changed = true
     while (changed && pass < MaxPasses) {
       changed = false
-      for (d <- decisions.sortBy(_.rank)) if (applyDecision(d)) changed = true
+      for (d <- ranked) if (applyDecision(d)) changed = true
       pass += 1
     }
     state.toMap
@@ -110,7 +131,9 @@ object Applier {
                decisions: Seq[Decision], initialKeys: Set[String]): DataFrame = {
     import spark.implicits._
     val bcDecisions = spark.sparkContext.broadcast(decisions.toVector)
-    val bcKeys      = spark.sparkContext.broadcast(initialKeys)
+    // Only adopting decisions read the initial keys.
+    val keys        = if (decisions.exists(_.adopts)) initialKeys else Set.empty[String]
+    val bcKeys      = spark.sparkContext.broadcast(keys)
     clusters
       .select("cluster", "recordId", "value").as[(Long, Long, String)]
       .groupByKey(_._1)

@@ -20,7 +20,13 @@ final case class Decision(
     path: Option[Vector[lang.Label]],
     memberDirs: Map[RuleKey, Boolean],
     forward: Boolean,
-)
+) {
+
+  /** Whether new rules (keys outside the initial catalog) may join this
+    * group; a NoAgg group holds exactly its member rules.
+    */
+  def adopts: Boolean = method != NoAgg
+}
 
 final case class ExpertConfig(
     /** How many member rules the expert inspects per group; the group is

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.data.{ConsolidationGen, Judges}
 
@@ -49,14 +50,14 @@ class ApplierSparkSpec extends SparkSpec {
     assert(run(rows) == run(rows))
   }
 
-  test("applyAll equals applyCluster mapped over the clusters in-process") {
+  /** `applyAll` against `applyCluster` mapped over the clusters in-process
+    * with the full initial-key set.
+    */
+  private def checkAgainstInProcess(generated: DataFrame, cfg: PipelineConfig, judge: RuleJudge): Unit = {
     import spark.implicits._
-    val clusters = ConsolidationGen.journalTitle(spark, sf = 0.01, seed = 3)
-      .select("cluster", "recordId", "value").cache()
-    val cfg      = PipelineConfig(pivot = GroupingGoldenSpec.pivotConfig("JournalTitle"))
+    val clusters = generated.select("cluster", "recordId", "value").cache()
     val prepared = Pipeline.prepare(spark, clusters, cfg)
-    val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, Judges.journalTitle,
-      cfg.budget, cfg.agg)
+    val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, judge, cfg.budget, cfg.agg)
     val initialKeys = prepared.catalog.keysIterator.map(Applier.keyString).toSet
     assert(decisions.nonEmpty)
 
@@ -70,6 +71,16 @@ class ApplierSparkSpec extends SparkSpec {
     assert(distributed.sorted == local.sorted)
     assert(local.count(r => !rows.contains(r)) > 0) // some values changed
     clusters.unpersist()
+  }
+
+  test("applyAll equals applyCluster mapped over the clusters in-process") {
+    checkAgainstInProcess(ConsolidationGen.journalTitle(spark, sf = 0.01, seed = 3),
+      PipelineConfig(pivot = GroupingGoldenSpec.pivotConfig("JournalTitle")), Judges.journalTitle)
+  }
+
+  test("NoAgg: applyAll, which ships no initial keys, equals applyCluster given them") {
+    checkAgainstInProcess(ConsolidationGen.authorList(spark, sf = 0.03, seed = 3),
+      PipelineConfig(agg = NoAgg, pivot = GroupingGoldenSpec.pivotConfig("AuthorList")), Judges.authorList)
   }
 
   test("empty decisions pass through distributed path") {

@@ -151,6 +151,31 @@ class ApplierSpec extends SparkSpec {
     assert(out == reference(1, records, Vector(d), _ => true))
   }
 
+  test("a rule that only a replacement creates is applied by a later decision") {
+    // "aa x" and "bb z" share no token, and no current pair aligns x with z.
+    // Rank 0 rewrites "aa x" to "bb x", whose pair with "bb z" is the only
+    // source of rank 1's member x <-> z.
+    val xz = RuleKey.of("x", "z")
+    assert(!Rules.clusterRules(1, Seq("aa x", "bb x y", "bb z")).contains(xz))
+    val d0 = Decision(0, NoAgg, None, None, Map(RuleKey.of("aa", "bb") -> true), forward = true)
+    val d1 = Decision(1, NoAgg, None, None, Map(xz -> true), forward = true)
+    val records = Map(1L -> "aa x", 2L -> "bb x y", 3L -> "bb z")
+    val out = Applier.applyCluster(1, records, Vector(d0, d1), _ => true)
+    assert(out == Map(1L -> "bb z", 2L -> "bb x y", 3L -> "bb z"))
+    assert(out == reference(1, records, Vector(d0, d1), _ => true))
+  }
+
+  test("a replacement onto an existing value drops the rules of the old value") {
+    // "9 St" becomes the existing "9th St", so the only pair that aligned
+    // St with Ave is gone and rank 1 has nothing left to replace.
+    val d0 = Decision(0, NoAgg, None, None, Map(RuleKey.of("9", "9th") -> true), forward = true)
+    val d1 = Decision(1, NoAgg, None, None, Map(RuleKey.of("Ave", "St") -> true), forward = true)
+    val records = Map(1L -> "9 St", 2L -> "9th St", 3L -> "9 Ave")
+    val out = Applier.applyCluster(1, records, Vector(d0, d1), _ => true)
+    assert(out == Map(1L -> "9th St", 2L -> "9th St", 3L -> "9 Ave"))
+    assert(out == reference(1, records, Vector(d0, d1), _ => true))
+  }
+
   private lazy val generated = Seq(
     ("AuthorList", ConsolidationGen.authorList(spark, sf = 0.03, seed = 5), Judges.authorList),
     ("Address", ConsolidationGen.address(spark, sf = 0.03, seed = 5), Judges.address),
@@ -175,6 +200,25 @@ class ApplierSpec extends SparkSpec {
       }
       assert(changed > 0)
     }
+
+  test("NoAgg: applyCluster gives the same output whatever the initial keys") {
+    import spark.implicits._
+    val (_, clusters, judge) = generated.head
+    val cfg      = PipelineConfig(agg = NoAgg, pivot = GroupingGoldenSpec.pivotConfig("AuthorList"))
+    val prepared = Pipeline.prepare(spark, clusters, cfg)
+    val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, judge, cfg.budget, NoAgg)
+    val initialKeys = prepared.catalog.keysIterator.map(Applier.keyString).toSet
+    var changed = 0
+    val rows = clusters.select("cluster", "recordId", "value").as[(Long, Long, String)].collect()
+    for ((cid, rs) <- rows.groupBy(_._1)) {
+      val records = rs.map(r => r._2 -> r._3).toMap
+      val out     = Applier.applyCluster(cid, records, decisions, initialKeys.contains)
+      assert(Applier.applyCluster(cid, records, decisions, _ => true) == out, s"cluster $cid")
+      assert(Applier.applyCluster(cid, records, decisions, _ => false) == out, s"cluster $cid")
+      changed += records.count { case (rid, v) => out(rid) != v }
+    }
+    assert(changed > 0)
+  }
 
   test("singleton cluster untouched") {
     val records = Map(1L -> "lonely")
