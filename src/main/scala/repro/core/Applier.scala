@@ -122,10 +122,11 @@ object Applier {
     state.toMap
   }
 
-  /** Distributed application: clusters are shuffled by id and the result
-    * comes back in `defaultParallelism` partitions, so the reduce tasks and
-    * every later read of the (typically cached) table run one task per core.
-    * `clusters` has columns (cluster LONG, recordId LONG, value STRING).
+  /** Distributed application: clusters are shuffled by id into
+    * `defaultParallelism` partitions (`Clusters.perCluster`), so the apply
+    * tasks and every later read of the (typically cached) table run one task
+    * per core. `clusters` has columns (cluster LONG, recordId LONG, value
+    * STRING).
     */
   def applyAll(spark: SparkSession, clusters: DataFrame,
                decisions: Seq[Decision], initialKeys: Set[String]): DataFrame = {
@@ -134,16 +135,12 @@ object Applier {
     // Only adopting decisions read the initial keys.
     val keys        = if (decisions.exists(_.adopts)) initialKeys else Set.empty[String]
     val bcKeys      = spark.sparkContext.broadcast(keys)
-    clusters
-      .select("cluster", "recordId", "value").as[(Long, Long, String)]
-      .groupByKey(_._1)
-      .flatMapGroups { (cid, it) =>
-        val records = it.map { case (_, rid, v) => rid -> v }.toMap
-        val updated = applyCluster(cid, records, bcDecisions.value, bcKeys.value.contains)
-        updated.iterator.map { case (rid, v) => (cid, rid, v) }
-      }
-      .toDF("cluster", "recordId", "value")
-      .coalesce(spark.sparkContext.defaultParallelism)
+    val rows        = clusters.select("cluster", "recordId", "value").as[(Long, Long, String)]
+    Clusters.perCluster(spark, rows)(_._1) { (cid, rs) =>
+      val records = rs.iterator.map { case (_, rid, v) => rid -> v }.toMap
+      val updated = applyCluster(cid, records, bcDecisions.value, bcKeys.value.contains)
+      updated.iterator.map { case (rid, v) => (cid, rid, v) }
+    }.toDF("cluster", "recordId", "value")
   }
 
   /** Encode a rule key for the broadcast initial-keys set. The length prefix

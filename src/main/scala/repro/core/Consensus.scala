@@ -12,22 +12,22 @@ import scala.collection.mutable
 object Consensus {
 
   /** `clusters`: (cluster LONG, recordId LONG, value STRING) →
-    * (cluster LONG, golden STRING nullable). One shuffle by cluster; the
-    * values are counted per cluster inside the task.
+    * (cluster LONG, golden STRING nullable). One shuffle by cluster
+    * (`Clusters.perCluster`); the values are counted per cluster inside the
+    * task.
     */
   def majority(spark: SparkSession, clusters: DataFrame): DataFrame = {
     import spark.implicits._
-    clusters.select("cluster", "value").as[(Long, String)]
-      .groupByKey(_._1)
-      .mapGroups { (cluster, rows) =>
-        val counts = mutable.HashMap.empty[String, Int]
-        for ((_, v) <- rows) counts(v) = counts.getOrElse(v, 0) + 1
-        val top = counts.valuesIterator.max
-        counts.filter(_._2 == top).keys.toSeq match {
-          case Seq(v) => (cluster, v)
-          case _      => (cluster, null: String)
-        }
+    val rows = clusters.select("cluster", "value").as[(Long, String)]
+    Clusters.perCluster(spark, rows)(_._1) { (cluster, rs) =>
+      val counts = mutable.HashMap.empty[String, Int]
+      for ((_, v) <- rs) counts(v) = counts.getOrElse(v, 0) + 1
+      val top = counts.valuesIterator.max
+      val golden = counts.filter(_._2 == top).keys.toSeq match {
+        case Seq(v) => v
+        case _      => null: String
       }
-      .toDF("cluster", "golden")
+      Iterator.single((cluster, golden))
+    }.toDF("cluster", "golden")
   }
 }

@@ -48,8 +48,11 @@ object Pipeline {
   def applyBudget(spark: SparkSession, prepared: Prepared, judge: RuleJudge,
                   budget: Int, cfg: PipelineConfig): PipelineResult = {
     val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, judge, budget, cfg.agg)
-    val initialKeys    = prepared.catalog.keysIterator.map(Applier.keyString).toSet
-    val updated        = Applier.applyAll(spark, prepared.clusters, decisions, initialKeys).cache()
+    // Only adopting decisions read the initial keys (`Applier.applyCluster`).
+    val initialKeys =
+      if (decisions.exists(_.adopts)) prepared.catalog.keysIterator.map(Applier.keyString).toSet
+      else Set.empty[String]
+    val updated = Applier.applyAll(spark, prepared.clusters, decisions, initialKeys).cache()
     PipelineResult(updated, prepared, decisions)
   }
 

@@ -13,11 +13,10 @@ object RuleGen {
     */
   def generate(spark: SparkSession, clusters: DataFrame): Map[RuleKey, MatchingRule] = {
     import spark.implicits._
-    Rules.merge(clusters
-      .select("cluster", "value").as[(Long, String)]
-      .groupByKey(_._1)
-      .flatMapGroups((cid, it) => Rules.clusterRules(cid, it.map(_._2).toSeq).valuesIterator)
-      .collect())
+    val rows = clusters.select("cluster", "value").as[(Long, String)]
+    Rules.merge(Clusters.perCluster(spark, rows)(_._1) { (cid, rs) =>
+      Rules.clusterRules(cid, rs.map(_._2)).valuesIterator
+    }.collect())
   }
 
   /** Number of distinct within-cluster value pairs (the "distinct duplicate

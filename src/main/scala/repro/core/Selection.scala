@@ -17,14 +17,16 @@ object Selection {
     * RevDir are sorted by `(lhs, rhs)`.
     */
   def select(keys: Seq[RuleKey], method: DirMethod, seed: Long = 42): Vector[Trans] = {
-    val sorted = keys.distinct.sortBy(k => (k.a, k.b)).toVector
+    val unique = keys.distinct.toVector
+    def sorted = unique.sortBy(k => (k.a, k.b))
     method match {
       case RandDir =>
         val rnd = new scala.util.Random(seed)
         sorted.map(k => if (rnd.nextBoolean()) Trans(k.a, k.b) else Trans(k.b, k.a))
       case LongDir => sorted.map(longer)
-      case BestDir => bestDir(sorted, reverse = false)
-      case RevDir  => bestDir(sorted, reverse = true)
+      // per-structure-pair totals do not depend on the keys' order
+      case BestDir => bestDir(unique, reverse = false)
+      case RevDir  => bestDir(unique, reverse = true)
     }
   }
 

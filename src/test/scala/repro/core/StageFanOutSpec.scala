@@ -2,9 +2,10 @@ package repro.core
 
 import java.util.concurrent.{CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerStageCompleted, SparkListenerTaskEnd}
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import repro.SparkSpec
+import scala.collection.mutable.ArrayBuffer
 
 /** Guards the number of Spark jobs and tasks the pipeline's distributed steps
   * run: each step is a few tasks sized to `defaultParallelism`, not one task
@@ -15,21 +16,31 @@ class StageFanOutSpec extends SparkSpec {
   /** Local property that marks the flushing job. */
   private val Marker = "repro.test.fanOutMarker"
 
-  /** (jobs, tasks, SQL queries) Spark ran inside `body`. A marker job run
-    * afterwards flushes the listener bus: its start event is delivered after
-    * every event of `body`.
+  /** What Spark ran inside `body`: jobs, tasks, SQL queries, and the task
+    * count of every completed stage that read shuffled records.
     */
-  private def fanOut(body: => Unit): (Int, Int, Int) = {
+  private final case class FanOut(jobs: Int, tasks: Int, queries: Int, shuffleReadStageTasks: Vector[Int])
+
+  /** A marker job run after `body` flushes the listener bus: its start event
+    * is delivered after every event of `body`.
+    */
+  private def fanOut(body: => Unit): FanOut = {
     val jobs, tasks, queries = new AtomicInteger
+    val readStages = ArrayBuffer.empty[Int] // touched only on the listener bus thread
     val flushed = new CountDownLatch(1)
-    @volatile var counted = (0, 0, 0)
+    @volatile var counted = FanOut(0, 0, 0, Vector.empty)
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         if (e.properties != null && e.properties.getProperty(Marker) != null) {
-          counted = (jobs.get, tasks.get, queries.get)
+          counted = FanOut(jobs.get, tasks.get, queries.get, readStages.toVector)
           flushed.countDown()
         } else jobs.incrementAndGet()
       override def onTaskEnd(e: SparkListenerTaskEnd): Unit = tasks.incrementAndGet()
+      override def onStageCompleted(e: SparkListenerStageCompleted): Unit = {
+        val info = e.stageInfo
+        if (info.taskMetrics != null && info.taskMetrics.shuffleReadMetrics.recordsRead > 0)
+          readStages += info.numTasks
+      }
       override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
         case _: SparkListenerSQLExecutionStart => queries.incrementAndGet()
         case _                                 =>
@@ -52,7 +63,7 @@ class StageFanOutSpec extends SparkSpec {
     val trans = GroupingGoldenSpec.readTsv("golden/grouping_pools.tsv")
       .filter(_(0) == "JournalTitle").map(r => Trans(r(1), r(2)))
     assert(trans.map(_.structKey).distinct.size > parallelism)
-    val (jobs, tasks, _) = fanOut(Grouping.group(spark, trans, BothAgg, GroupingGoldenSpec.pivotConfig("JournalTitle")))
+    val FanOut(jobs, tasks, _, _) = fanOut(Grouping.group(spark, trans, BothAgg, GroupingGoldenSpec.pivotConfig("JournalTitle")))
     info(s"$jobs jobs, $tasks tasks, defaultParallelism $parallelism")
     assert(jobs == 1, s"$jobs jobs")
     assert(tasks <= parallelism, s"$tasks tasks, defaultParallelism $parallelism")
@@ -62,7 +73,7 @@ class StageFanOutSpec extends SparkSpec {
     import spark.implicits._
     val clusters = (for (c <- 0L until 200L; r <- 0L until 3L) yield (c, c * 3 + r, s"$c st ${"n" * r.toInt}"))
       .toDF("cluster", "recordId", "value")
-    val (jobs, tasks, queries) = fanOut(RuleGen.generate(spark, clusters))
+    val FanOut(jobs, tasks, queries, _) = fanOut(RuleGen.generate(spark, clusters))
     info(s"$queries queries, $jobs jobs, $tasks tasks, defaultParallelism $parallelism")
     assert(queries == 1, s"$queries queries")
     // Adaptive execution runs the shuffle's map stage as a job of its own.
@@ -73,16 +84,31 @@ class StageFanOutSpec extends SparkSpec {
     import spark.implicits._
     val clusters = (for (c <- 0L until 500L; r <- 0L until 3L) yield (c, c * 3 + r, s"v${(c + r) % 2}"))
       .toDF("cluster", "recordId", "value")
-    val (jobs, tasks, _) = fanOut {
+    val FanOut(jobs, tasks, _, _) = fanOut {
       val updated = Applier.applyAll(spark, clusters, Vector.empty, Set.empty).cache()
       updated.count()
       Consensus.majority(spark, updated).collect()
       updated.unpersist(blocking = true)
     }
     info(s"$jobs jobs, $tasks tasks, defaultParallelism $parallelism")
-    // Measured: four stages of defaultParallelism tasks (input map, apply,
-    // count map, consensus map) plus two single-task final stages. One task
-    // per shuffle partition would be well over 128.
+    // Measured: five stages of defaultParallelism tasks plus the count's
+    // single-task final stage. One task per shuffle partition would be well
+    // over 128.
     assert(tasks <= 5 * parallelism + 2, s"$tasks tasks, defaultParallelism $parallelism")
+  }
+
+  test("the per-cluster stage of rule generation, application and consensus runs one task per core") {
+    import spark.implicits._
+    val n = math.max(200, 2 * parallelism)
+    val clusters = (for (c <- 0L until n.toLong; r <- 0L until 3L) yield (c, c * 3 + r, s"$c st ${"n" * r.toInt}"))
+      .toDF("cluster", "recordId", "value")
+    val stages = Seq(
+      "RuleGen.generate"   -> fanOut(RuleGen.generate(spark, clusters)),
+      "Applier.applyAll"   -> fanOut(Applier.applyAll(spark, clusters, Vector.empty, Set.empty).collect()),
+      "Consensus.majority" -> fanOut(Consensus.majority(spark, clusters).collect()),
+    ).map { case (step, f) => step -> f.shuffleReadStageTasks }
+    info(s"post-shuffle stage tasks ${stages.mkString(", ")}, defaultParallelism $parallelism")
+    val wrong = stages.filter(_._2 != Vector(parallelism))
+    assert(wrong.isEmpty, s"expected one post-shuffle stage of $parallelism tasks each: $wrong")
   }
 }
