@@ -20,14 +20,20 @@ object Consensus {
     import spark.implicits._
     val rows = clusters.select("cluster", "value").as[(Long, String)]
     Clusters.perCluster(spark, rows)(_._1) { (cluster, rs) =>
-      val counts = mutable.HashMap.empty[String, Int]
-      for ((_, v) <- rs) counts(v) = counts.getOrElse(v, 0) + 1
-      val top = counts.valuesIterator.max
-      val golden = counts.filter(_._2 == top).keys.toSeq match {
-        case Seq(v) => v
-        case _      => null: String
-      }
-      Iterator.single((cluster, golden))
+      Iterator.single((cluster, vote(rs.map(_._2))))
     }.toDF("cluster", "golden")
+  }
+
+  /** The golden value of one cluster's non-empty `values`: the most frequent
+    * value, or NULL on a frequency tie.
+    */
+  def vote(values: Iterable[String]): String = {
+    val counts = mutable.HashMap.empty[String, Int]
+    for (v <- values) counts(v) = counts.getOrElse(v, 0) + 1
+    val top = counts.valuesIterator.max
+    counts.filter(_._2 == top).keys.toSeq match {
+      case Seq(v) => v
+      case _      => null
+    }
   }
 }

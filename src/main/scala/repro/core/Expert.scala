@@ -28,31 +28,28 @@ final case class Decision(
   def adopts: Boolean = method != NoAgg
 }
 
-final case class ExpertConfig(
-    /** How many member rules the expert inspects per group; the group is
-      * approved iff every inspected rule is true. A bounded sample models
-      * the paper's observation that coarse groups (StructAgg) let false
-      * rules slip through while NoAgg is exact.
-      */
-    sampleSize: Int = 5,
-    seed: Long = 7,
-) extends Serializable {
-  require(sampleSize >= 1, s"sampleSize must be >= 1, got $sampleSize")
-}
-
 object Expert {
+
+  /** How many member rules the expert inspects per group; the group is
+    * approved iff every inspected rule is true. A bounded sample models the
+    * paper's observation that coarse groups (StructAgg) let false rules slip
+    * through while NoAgg is exact.
+    */
+  final val SampleSize = 5
+
+  /** Seed of the sample, mixed with the group id. */
+  private final val SampleSeed = 7L
 
   /** Confirm ranked groups in order, spending the whole budget (Step 5).
     * Returns the approved groups as `Decision`s plus how many groups were
     * shown to the expert.
     */
   def confirmAll(ranked: Seq[RuleGroup], catalog: Map[RuleKey, MatchingRule],
-                 judge: RuleJudge, budget: Int, method: AggMethod,
-                 cfg: ExpertConfig = ExpertConfig()): (Vector[Decision], Int) = {
+                 judge: RuleJudge, budget: Int, method: AggMethod): (Vector[Decision], Int) = {
     val shown = ranked.take(budget)
     val decisions = Vector.newBuilder[Decision]
     for ((g, idx) <- shown.zipWithIndex) {
-      confirm(g, catalog, judge, cfg).foreach { fwd =>
+      confirm(g, catalog, judge).foreach { fwd =>
         decisions += Decision(
           rank = idx,
           method = method,
@@ -66,17 +63,17 @@ object Expert {
     (decisions.result(), shown.size)
   }
 
-  /** Inspect one group: sample up to `sampleSize` member rules; approve iff
+  /** Inspect one group: sample up to `SampleSize` member rules; approve iff
     * all sampled rules are true. On approval, pick the replacement direction
     * that applies to the most occurrences (the group's aggregate replacement
     * sets decide).
     */
   def confirm(g: RuleGroup, catalog: Map[RuleKey, MatchingRule],
-              judge: RuleJudge, cfg: ExpertConfig): Option[Boolean] = {
-    val rnd     = new scala.util.Random(cfg.seed ^ g.id.hashCode.toLong)
+              judge: RuleJudge): Option[Boolean] = {
+    val rnd     = new scala.util.Random(SampleSeed ^ g.id.hashCode.toLong)
     val sampled =
-      if (g.members.size <= cfg.sampleSize) g.members
-      else rnd.shuffle(g.members).take(cfg.sampleSize)
+      if (g.members.size <= SampleSize) g.members
+      else rnd.shuffle(g.members).take(SampleSize)
     val allTrue = sampled.forall(m => judge.isTrue(m.lhs, m.rhs))
     if (!allTrue) None
     else {

@@ -21,7 +21,9 @@ final case class PairConfusion(tp: Long, fp: Long, fn: Long, tn: Long) {
 
 object Metrics {
 
-  /** Evaluate duplicate merging on sampled record pairs.
+  /** Evaluate duplicate merging on sampled record pairs. Two values are
+    * one string iff they are equal or both NULL, the rule MC counts values
+    * by.
     *
     * `values`: (cluster, recordId, value) — the (possibly updated) table.
     * `pairs`:  (cluster, rid1, rid2, positive BOOLEAN) — labeled sample.
@@ -30,11 +32,12 @@ object Metrics {
     val v1 = values.select(col("cluster"), col("recordId").as("rid1"), col("value").as("v1"))
     val v2 = values.select(col("cluster"), col("recordId").as("rid2"), col("value").as("v2"))
     val joined = pairs.join(v1, Seq("cluster", "rid1")).join(v2, Seq("cluster", "rid2"))
+    val same   = col("v1") <=> col("v2")
     val agg = joined.select(
-      sum(when(col("positive") && col("v1") === col("v2"), 1L).otherwise(0L)).as("tp"),
-      sum(when(!col("positive") && col("v1") === col("v2"), 1L).otherwise(0L)).as("fp"),
-      sum(when(col("positive") && col("v1") =!= col("v2"), 1L).otherwise(0L)).as("fn"),
-      sum(when(!col("positive") && col("v1") =!= col("v2"), 1L).otherwise(0L)).as("tn"),
+      sum(when(col("positive") && same, 1L).otherwise(0L)).as("tp"),
+      sum(when(!col("positive") && same, 1L).otherwise(0L)).as("fp"),
+      sum(when(col("positive") && !same, 1L).otherwise(0L)).as("fn"),
+      sum(when(!col("positive") && !same, 1L).otherwise(0L)).as("tn"),
     ).collect()(0)
     def g(i: Int): Long = if (agg.isNullAt(i)) 0L else agg.getLong(i)
     PairConfusion(g(0), g(1), g(2), g(3))
@@ -44,39 +47,21 @@ object Metrics {
     *
     * `records`: (cluster, recordId, value, entityId) — current table with the
     * generating entity of every record. A cluster's ground truth is its
-    * majority entity. The golden value is correct (TP) iff the majority
-    * entity among the records currently holding that value is the cluster's
-    * majority entity; a tie (no golden value) or a wrong entity is an FP.
+    * majority entity. The golden value (`Consensus.vote`) is correct (TP) iff
+    * the majority entity among the records currently holding that value is
+    * the cluster's majority entity; a tie (no golden value) or a wrong entity
+    * is an FP. Entity ties go to the smallest id.
     */
   def mcPrecision(spark: SparkSession, records: DataFrame, sampleClusters: Seq[Long]): Double = {
     import spark.implicits._
-    val sample  = records.where(col("cluster").isin(sampleClusters: _*)).cache()
-    val golden  = Consensus.majority(spark, sample.select("cluster", "recordId", "value"))
-
-    // majority entity per cluster, and per (cluster, value)
-    val clusterEntity = majorityBy(sample, Seq("cluster"), "entityId", "clusterEntity")
-    val valueEntity   = majorityBy(sample, Seq("cluster", "value"), "entityId", "valueEntity")
-
-    val judged = golden
-      .join(clusterEntity, Seq("cluster"))
-      .join(valueEntity.withColumnRenamed("value", "golden"), Seq("cluster", "golden"), "left")
-      .select(
-        when(col("golden").isNotNull && col("valueEntity") === col("clusterEntity"), 1.0)
-          .otherwise(0.0).as("correct")
-      )
-    val n = judged.count()
-    if (n == 0) 0.0 else judged.agg(sum("correct")).as[Double].collect()(0) / n
-  }
-
-  /** Most frequent `valueCol` per key (deterministic tie-break: min). */
-  private def majorityBy(df: DataFrame, keyCols: Seq[String], valueCol: String,
-                         outCol: String): DataFrame = {
-    import org.apache.spark.sql.expressions.Window
-    val counts = df.groupBy((keyCols :+ valueCol).map(col): _*).agg(count(lit(1)).as("cnt"))
-    val w = Window.partitionBy(keyCols.map(col): _*).orderBy(col("cnt").desc, col(valueCol).asc)
-    counts
-      .withColumn("rn", row_number().over(w))
-      .where(col("rn") === 1)
-      .select((keyCols.map(col) :+ col(valueCol).as(outCol)): _*)
+    val sample = records.where(col("cluster").isin(sampleClusters: _*))
+      .select("cluster", "value", "entityId").as[(Long, String, Long)]
+    def majorityEntity(rs: Iterable[(Long, String, Long)]): Long =
+      rs.groupMapReduce(_._3)(_ => 1)(_ + _).minBy { case (e, n) => (-n, e) }._1
+    val correct = Clusters.perCluster(spark, sample)(_._1) { (_, rs) =>
+      val golden = Consensus.vote(rs.map(_._2))
+      Iterator.single(golden != null && majorityEntity(rs.filter(_._2 == golden)) == majorityEntity(rs))
+    }.collect()
+    if (correct.isEmpty) 0.0 else correct.count(identity).toDouble / correct.length
   }
 }

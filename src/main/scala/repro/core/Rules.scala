@@ -44,8 +44,7 @@ object Rules {
   /** Rules from one pair of attribute values within cluster `cluster`.
     * Returns the rules with their replacement occurrences for this pair.
     */
-  def pairRules(cluster: Long, v1: String, v2: String,
-                includeFullValue: Boolean = true): Vector[MatchingRule] = {
+  def pairRules(cluster: Long, v1: String, v2: String): Vector[MatchingRule] = {
     if (v1 == v2) return Vector.empty
     val t1 = Tokens.tokenize(v1)
     val t2 = Tokens.tokenize(v2)
@@ -63,20 +62,17 @@ object Rules {
     // Example 2.2: the two whole values also form a candidate rule — but only
     // when they differ from every gap-derived rule trivially covered above
     // (mk/merge dedupes by key anyway).
-    if (includeFullValue) {
-      out += mk(
-        v1, Occ(cluster, v1, 1, v1.length),
-        v2, Occ(cluster, v2, 1, v2.length))
-    }
+    out += mk(
+      v1, Occ(cluster, v1, 1, v1.length),
+      v2, Occ(cluster, v2, 1, v2.length))
     out.result()
   }
 
   /** All matching rules of a cluster: every unordered pair of distinct values,
     * merged by canonical rule key. NULL values take part in no rule.
     */
-  def clusterRules(cluster: Long, values: Seq[String],
-                   includeFullValue: Boolean = true): Map[RuleKey, MatchingRule] =
-    merge(valuePairs(values).flatMap { case (v1, v2) => pairRules(cluster, v1, v2, includeFullValue) })
+  def clusterRules(cluster: Long, values: Seq[String]): Map[RuleKey, MatchingRule] =
+    merge(valuePairs(values).flatMap { case (v1, v2) => pairRules(cluster, v1, v2) })
 
   /** Every unordered pair `(v1, v2)` of distinct non-NULL values, `v1 < v2`,
     * the pairs in sorted order.

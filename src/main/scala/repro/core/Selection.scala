@@ -12,16 +12,19 @@ case object BestDir extends DirMethod
   */
 object Selection {
 
-  /** Select one directed transformation per rule key. Deterministic given
-    * the seed. RandDir and LongDir follow the sorted rule keys; BestDir and
-    * RevDir are sorted by `(lhs, rhs)`.
+  /** Seed of RandDir's coin flips. */
+  private final val RandSeed = 42L
+
+  /** Select one directed transformation per rule key, deterministically.
+    * RandDir and LongDir follow the sorted rule keys; BestDir and RevDir are
+    * sorted by `(lhs, rhs)`.
     */
-  def select(keys: Seq[RuleKey], method: DirMethod, seed: Long = 42): Vector[Trans] = {
+  def select(keys: Seq[RuleKey], method: DirMethod): Vector[Trans] = {
     val unique = keys.distinct.toVector
     def sorted = unique.sortBy(k => (k.a, k.b))
     method match {
       case RandDir =>
-        val rnd = new scala.util.Random(seed)
+        val rnd = new scala.util.Random(RandSeed)
         sorted.map(k => if (rnd.nextBoolean()) Trans(k.a, k.b) else Trans(k.b, k.a))
       case LongDir => sorted.map(longer)
       // per-structure-pair totals do not depend on the keys' order

@@ -2,24 +2,22 @@ package repro.core.lang
 
 import scala.collection.mutable
 
-/** Tuning knobs for graph construction (Appendix B pruning). The paper prunes
-  * labels with a manually-defined static order but gives no constants; the
-  * caps below keep the O(|s|²|t|²) construction and the path search bounded.
+/** Graph construction settings. `affix` turns the affix labels (Definition
+  * 6) on or off, for the NoAffix experiments. The paper prunes labels with a
+  * manually-defined static order but gives no constants (Appendix B); the
+  * fixed caps below keep the O(|s|²|t|²) construction and the path search
+  * bounded.
   */
-final case class GraphConfig(
-    affix: Boolean = true,
-    /** Longer sides get a degenerate graph. Node ids reach maxSideLen + 1 and
-      * the pivot search keeps reachable nodes in a Long bitmask.
-      */
-    maxSideLen: Int = 30,
-    maxPosFnsPerPosition: Int = 8,
-    maxLabelsPerEdge: Int = 12,
-    maxConstTermLen: Int = 6,
-) extends Serializable {
-  require(maxSideLen >= 1 && maxSideLen <= 62, s"maxSideLen must be in [1, 62], got $maxSideLen")
-  require(maxPosFnsPerPosition >= 1, s"maxPosFnsPerPosition must be >= 1, got $maxPosFnsPerPosition")
-  require(maxLabelsPerEdge >= 1, s"maxLabelsPerEdge must be >= 1, got $maxLabelsPerEdge")
-  require(maxConstTermLen >= 1, s"maxConstTermLen must be >= 1, got $maxConstTermLen")
+final case class GraphConfig(affix: Boolean = true) extends Serializable {
+
+  /** Longer sides get a degenerate graph. Node ids reach maxSideLen + 1, and
+    * the pivot search keeps reachable nodes in a Long bitmask, so this must
+    * stay at most 62.
+    */
+  final val maxSideLen = 30
+  final val maxPosFnsPerPosition = 8
+  final val maxLabelsPerEdge = 12
+  final val maxConstTermLen = 6
 }
 
 /** Transformation graph of `s → t` (Definition 4): nodes 1..|t|+1, an edge
@@ -188,19 +186,6 @@ object GraphBuilder {
     nodeOff(last) = e
     nodeOff(last + 1) = e
     new RawGraph(s, t, nodeOff, target, labOff, java.util.Arrays.copyOf(codes.a, codes.n))
-  }
-
-  /** All position functions locating each position 1..|s|+1, sorted by the
-    * Appendix-B static order (regex MatchPos, then constant-term MatchPos,
-    * then ConstPos) and capped.
-    */
-  def positionFunctions(s: String, cfg: GraphConfig,
-                        constScore: String => Double): Map[Int, Vector[Pos]] = {
-    val dict = new LangDict
-    val ids  = positionIds(dict, s, cfg, constScore)
-    (1 to s.length + 1).iterator.map { x =>
-      x -> ids(x).toVector.map(dict.pos).sortBy(p => (Pos.rank(p), p.key))
-    }.toMap.withDefaultValue(Vector.empty)
   }
 
   /** Ids of the capped position functions of each position 1..|s|+1, in

@@ -131,10 +131,6 @@ object Label {
     case _ => None
   }
 
-  /** Whether `label`, applied to `s`, can output exactly `out`. */
-  def canOutput(label: Label, s: String, out: String): Boolean =
-    matchLengthsAt(label, s, out, 0).contains(out.length)
-
   /** All lengths `len` such that `label` on `s` can output `t[at, at+len)`
     * (0-based `at`). Used to check path consistency without building graphs.
     */

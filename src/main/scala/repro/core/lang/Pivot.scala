@@ -38,7 +38,7 @@ final case class ProgGroup(pathKey: String, path: Vector[Label], members: Vector
   *
   * Implementation notes (DESIGN.md §6): a pool's graphs are built over one
   * [[LangDict]], so labels are int ids in the static order and graphs are
-  * CSR arrays ([[IntGraph]]). Node ids are ≤ maxSideLen + 1 ≤ 63, so the set
+  * CSR arrays ([[IntGraph]]). Node ids are ≤ maxSideLen + 1 = 31, so the set
   * of reachable nodes per graph is a Long bitmask. The inverted index stores,
   * per label id and graph, the packed edges `(i << 8) | j` (Section 4.2's
   * ⟨G, i, j⟩ triples) in flat arrays. `Label` objects and path keys are made

@@ -272,10 +272,11 @@ object ConsolidationGen {
     Stats(sizes.sum, sizes.length, sizes.sum.toDouble / sizes.length, sizes.min, sizes.max, pairs)
   }
 
-  /** Sample `n` labeled within-cluster record pairs with *distinct* values
-    * (the paper's "distinct duplicate pairs"); positive iff same entity.
+  /** A fixed random sample of `n` labeled within-cluster record pairs with
+    * *distinct* values (the paper's "distinct duplicate pairs"); positive iff
+    * same entity.
     */
-  def samplePairs(spark: SparkSession, records: DataFrame, n: Int, seed: Long = 23): DataFrame = {
+  def samplePairs(spark: SparkSession, records: DataFrame, n: Int): DataFrame = {
     import spark.implicits._
     import org.apache.spark.sql.functions._
     val pairs = records.as[GenRecord]
@@ -289,14 +290,14 @@ object ConsolidationGen {
         } yield (cid, rs(i).recordId, rs(j).recordId, rs(i).entityId == rs(j).entityId)
       }
       .toDF("cluster", "rid1", "rid2", "positive")
-    pairs.orderBy(rand(seed)).limit(n)
+    pairs.orderBy(rand(23)).limit(n)
   }
 
-  /** Deterministic sample of cluster ids (for the Table 5 ground-truth set). */
-  def sampleClusters(spark: SparkSession, records: DataFrame, n: Int, seed: Long = 29): Seq[Long] = {
+  /** A fixed random sample of `n` cluster ids (the Table 5 ground-truth set). */
+  def sampleClusters(spark: SparkSession, records: DataFrame, n: Int): Seq[Long] = {
     import spark.implicits._
     import org.apache.spark.sql.functions._
-    records.select("cluster").distinct().orderBy(rand(seed)).limit(n)
+    records.select("cluster").distinct().orderBy(rand(29)).limit(n)
       .select($"cluster".as[Long]).collect().toSeq
   }
 }

@@ -24,9 +24,8 @@ object Experiments {
       clusterSample: Int,
   ) {
     def pivotConfig: PivotConfig = PivotConfig(maxPathLen = maxPathLen)
-    def pipelineConfig(agg: AggMethod = BothAgg, dir: DirMethod = BestDir,
-                       budget: Int = 100): PipelineConfig =
-      PipelineConfig(agg = agg, dir = dir, budget = budget, pivot = pivotConfig)
+    def pipelineConfig(agg: AggMethod = BothAgg, dir: DirMethod = BestDir): PipelineConfig =
+      PipelineConfig(agg = agg, dir = dir, pivot = pivotConfig)
   }
 
   /** Bench-scale datasets. The paper ran C++ on a 64-core Xeon over the full
@@ -143,9 +142,9 @@ object Experiments {
   // Table 5: precision improvement for majority consensus
   // --------------------------------------------------------------------
 
-  def table5(spark: SparkSession, specs: Seq[DatasetSpec], budget: Int = 100): String = {
+  def table5(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
     val sb = new StringBuilder
-    sb ++= s"Table 5: MC golden-record precision before/after (budget=$budget groups)\n"
+    sb ++= s"Table 5: MC golden-record precision before/after (budget=${PipelineConfig().budget} groups)\n"
     sb ++= f"${""}%-8s" + specs.map(s => f"${s.name}%14s").mkString + "\n"
     val before = scala.collection.mutable.LinkedHashMap.empty[String, Double]
     val after  = scala.collection.mutable.LinkedHashMap.empty[String, Double]
@@ -154,7 +153,7 @@ object Experiments {
       val sample  = ConsolidationGen.sampleClusters(spark, records, spec.clusterSample)
       before(spec.name) = Metrics.mcPrecision(spark, records, sample)
       val res = Pipeline.run(spark, records.select("cluster", "recordId", "value"),
-        spec.judge, spec.pipelineConfig(budget = budget))
+        spec.judge, spec.pipelineConfig())
       val updated = res.updated.join(records.select(col("recordId"), col("entityId")), Seq("recordId"))
       after(spec.name) = Metrics.mcPrecision(spark, updated, sample)
       records.unpersist()
@@ -168,20 +167,18 @@ object Experiments {
   // Figures 3-5 companion: P/R/MCC of merging vs #confirmed groups
   // --------------------------------------------------------------------
 
-  def curvesAggregation(spark: SparkSession, specs: Seq[DatasetSpec],
-                        budgets: Seq[Int] = Seq(10, 25, 50, 100),
-                        nPairs: Int = 800): String = {
+  def curvesAggregation(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
     val sb = new StringBuilder
     sb ++= "Figures 3-5 companion: precision/recall/MCC of merging duplicates\n"
     sb ++= f"${"Dataset"}%-14s ${"Method"}%-10s ${"#Groups"}%8s ${"Prec"}%7s ${"Recall"}%7s ${"MCC"}%7s\n"
     for (spec <- specs) {
       val records = spec.gen(spark, spec.sf).cache(); records.count()
       val vals    = records.select("cluster", "recordId", "value")
-      val pairs   = ConsolidationGen.samplePairs(spark, records, nPairs).cache(); pairs.count()
+      val pairs   = ConsolidationGen.samplePairs(spark, records, 800).cache(); pairs.count()
       for ((mname, m) <- Methods) {
         val cfg      = spec.pipelineConfig(agg = m)
         val prepared = Pipeline.prepare(spark, vals, cfg)
-        for (b <- budgets) {
+        for (b <- Seq(10, 25, 50, 100)) {
           val res = Pipeline.applyBudget(spark, prepared, spec.judge, b, cfg)
           val c   = Metrics.pairConfusion(spark, res.updated, pairs)
           sb ++= f"${spec.name}%-14s $mname%-10s $b%8d ${c.precision}%7.3f ${c.recall}%7.3f ${c.mcc}%7.3f\n"
@@ -197,25 +194,24 @@ object Experiments {
   // Figures 6 + 8 companion: recall by selection method and affix on/off
   // --------------------------------------------------------------------
 
-  def curvesSelectionAffix(spark: SparkSession, specs: Seq[DatasetSpec],
-                           budget: Int = 100, nPairs: Int = 800): String = {
+  def curvesSelectionAffix(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
     val sb = new StringBuilder
-    sb ++= s"Figures 6 and 8 companion: recall of merging at budget=$budget\n"
+    sb ++= s"Figures 6 and 8 companion: recall of merging at budget=${PipelineConfig().budget}\n"
     sb ++= f"${"Dataset"}%-14s ${"Variant"}%-10s ${"Prec"}%7s ${"Recall"}%7s\n"
     for (spec <- specs) {
       val records = spec.gen(spark, spec.sf).cache(); records.count()
       val vals    = records.select("cluster", "recordId", "value")
-      val pairs   = ConsolidationGen.samplePairs(spark, records, nPairs).cache(); pairs.count()
+      val pairs   = ConsolidationGen.samplePairs(spark, records, 800).cache(); pairs.count()
       def run(tag: String, cfg: PipelineConfig): Unit = {
         val res = Pipeline.run(spark, vals, spec.judge, cfg)
         val c   = Metrics.pairConfusion(spark, res.updated, pairs)
         sb ++= f"${spec.name}%-14s $tag%-10s ${c.precision}%7.3f ${c.recall}%7.3f\n"
         res.updated.unpersist()
       }
-      for ((dname, d) <- Dirs) run(dname, spec.pipelineConfig(dir = d, budget = budget))
-      run("NoAffix", spec.pipelineConfig(budget = budget)
+      for ((dname, d) <- Dirs) run(dname, spec.pipelineConfig(dir = d))
+      run("NoAffix", spec.pipelineConfig()
         .copy(pivot = spec.pivotConfig.copy(graph = GraphConfig(affix = false))))
-      run("Affix", spec.pipelineConfig(budget = budget))
+      run("Affix", spec.pipelineConfig())
       pairs.unpersist(); records.unpersist()
     }
     sb.toString
@@ -225,9 +221,8 @@ object Experiments {
   // Figure 7 companion: pruning-technique aggregation times
   // --------------------------------------------------------------------
 
-  def pruning(spark: SparkSession, specs: Seq[DatasetSpec],
-              maxPathLens: Seq[Int] = Seq(3, 4),
-              searchBudget: Long = 200000): String = {
+  def pruning(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
+    val searchBudget = 200000L
     val variants = Seq(
       ("NoThrsh", false, false), ("LocalThrsh", true, false),
       ("GlobalThrsh", false, true), ("AllThrsh", true, true))
@@ -237,7 +232,7 @@ object Experiments {
     for (spec <- specs) withValues(spark, spec) { vals =>
       val catalog = RuleGen.generate(spark, vals)
       val trans   = Selection.select(catalog.keys.toSeq, BestDir)
-      for (theta <- maxPathLens) {
+      for (theta <- Seq(3, 4)) {
         val times = variants.map { case (_, local, global) =>
           val cfg = PivotConfig(maxPathLen = theta, localThreshold = local,
             globalThreshold = global, searchBudget = searchBudget)

@@ -23,6 +23,14 @@ class ConsensusSpec extends SparkSpec {
     assert(out.length == 1 && out(0).isNullAt(1))
   }
 
+  test("vote: most frequent value, NULL a value, NULL on a tie") {
+    assert(Consensus.vote(Seq("a", "b", "a")) == "a")
+    assert(Consensus.vote(Seq(null, "b", null)) == null)
+    assert(Consensus.vote(Seq(null, "b", null, "b", "c")) == null)
+    assert(Consensus.vote(Seq(null, "b", "b")) == "b")
+    assert(Consensus.vote(Seq("only")) == "only")
+  }
+
   test("per-cluster independence") {
     val in  = df((1, 1, "a"), (1, 2, "a"), (2, 3, "x"), (2, 4, "y"), (3, 5, "only"))
     val out = Consensus.majority(spark, in).collect().map(r =>

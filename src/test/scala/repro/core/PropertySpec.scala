@@ -102,7 +102,7 @@ class PropertySpec extends AnyFunSuite {
   test("full-value rule application makes the pair identical") {
     forSamples(Gen.zip(phrase, phrase)) { case (v1, v2) =>
       if (v1 != v2) {
-        val rs   = Rules.pairRules(1, v1, v2, includeFullValue = true)
+        val rs   = Rules.pairRules(1, v1, v2)
         val full = rs.find(r => Set(r.key.a, r.key.b) == Set(v1, v2)).get
         val o    = (if (full.key.a == v1) full.occA else full.occB).head
         val replaced = Tokens.applyReplacement(o.value, o.p, o.q,
@@ -116,7 +116,7 @@ class PropertySpec extends AnyFunSuite {
     forSamples(Gen.zip(word, word), n = 60) { case (s, t) =>
       val g = GraphBuilder.build(0, s, t, GraphConfig())
       for (((i, j), labels) <- g.edges; l <- labels)
-        assert(Label.canOutput(l, s, t.substring(i - 1, j - 1)))
+        assert(PathCheck.consistent(Seq(l), s, t.substring(i - 1, j - 1)))
     }
   }
 

@@ -7,6 +7,15 @@ class GraphSpec extends AnyFunSuite {
 
   private val cfg = GraphConfig()
 
+  /** The position functions on the SubStr labels of the graph of `s → t`,
+    * by the position of `s` each one evaluates to.
+    */
+  private def positionFunctions(s: String, t: String,
+                                constScore: String => Double = _ => 0.0): Map[Int, Set[Pos]] =
+    GraphBuilder.build(0, s, t, cfg, constScore).edges.valuesIterator.flatten
+      .flatMap { case SubStrF(l, r) => Seq(l, r); case _ => Nil }
+      .toSet.groupBy((p: Pos) => Pos.eval(p, s).get)
+
   test("Figure 2: graph of Street -> St has nodes 1..3 and edges (1,2),(2,3),(1,3)") {
     val g = GraphBuilder.build(0, "Street", "St", cfg)
     assert(g.lastNode == 3)
@@ -35,7 +44,7 @@ class GraphSpec extends AnyFunSuite {
       val g = GraphBuilder.build(0, tr._1, tr._2, cfg)
       for (((i, j), labels) <- g.edges; l <- labels) {
         val sub = tr._2.substring(i - 1, j - 1)
-        assert(Label.canOutput(l, tr._1, sub), s"label ${l.key} on edge ($i,$j) of $tr")
+        assert(PathCheck.consistent(Seq(l), tr._1, sub), s"label ${l.key} on edge ($i,$j) of $tr")
       }
     }
   }
@@ -77,9 +86,9 @@ class GraphSpec extends AnyFunSuite {
   }
 
   test("label caps are respected") {
-    val tight = cfg.copy(maxLabelsPerEdge = 3, maxPosFnsPerPosition = 2)
-    val g = GraphBuilder.build(0, "9 St, 02141 Wisconsin WI", "9th WI WI", tight)
-    assert(g.edges.values.forall(_.size <= 3))
+    val g     = GraphBuilder.build(0, "9 St, 02141 Wisconsin WI", "9th WI WI", cfg)
+    val sizes = g.edges.values.map(_.size)
+    assert(sizes.max == cfg.maxLabelsPerEdge, sizes)
   }
 
   test("adjacency lists sorted farthest-first") {
@@ -89,13 +98,13 @@ class GraphSpec extends AnyFunSuite {
 
   test("position functions: constant-term ranking keeps the top-scored term") {
     val score: String => Double = { case "Dr." => 5.0; case _ => 0.0 }
-    val pf = GraphBuilder.positionFunctions("Dr. Dewitt", GraphConfig(), score)
+    val pf = positionFunctions("Dr. Dewitt", "Dr. Dewitt", score)
     assert(pf(1).contains(MatchPos(TStr("Dr."), 1, 'B')))
     assert(pf(4).contains(MatchPos(TStr("Dr."), 1, 'E')))
   }
 
   test("position functions include forward and backward regex MatchPos and ConstPos") {
-    val pf = GraphBuilder.positionFunctions("9 St", GraphConfig(), _ => 0.0)
+    val pf = positionFunctions("9 St", "9 St")
     assert(pf(1).contains(MatchPos(Td, 1, 'B')))
     assert(pf(1).contains(MatchPos(Td, -1, 'B')))
     assert(pf(1).contains(ConstPos(1)))
@@ -103,10 +112,25 @@ class GraphSpec extends AnyFunSuite {
   }
 
   test("every position function evaluates to its position") {
-    val s  = "9th E Ave, 02141"
-    val pf = GraphBuilder.positionFunctions(s, GraphConfig(), _ => 0.0)
-    for ((x, ps) <- pf; p <- ps)
-      assert(Pos.eval(p, s) == Some(x), s"pos fn ${p.key} at $x")
+    // a SubStr label of edge (i, j) locates an occurrence of t[i, j) in s
+    val s = "9th E Ave, 02141"
+    val t = "Ave 9th, 02141 E"
+    for (((i, j), labels) <- GraphBuilder.build(0, s, t, cfg).edges; SubStrF(l, r) <- labels) {
+      val sub = t.substring(i - 1, j - 1)
+      val a   = Pos.eval(l, s)
+      assert(a.exists(a => s.startsWith(sub, a - 1)), s"pos fn ${l.key} on edge ($i,$j)")
+      assert(Pos.eval(r, s) == a.map(_ + sub.length), s"pos fn ${r.key} on edge ($i,$j)")
+    }
+  }
+
+  test("position-function cap is respected") {
+    // Position 3 of "ab12." has 10 candidates: the ends of Tl and T(ab), the
+    // beginnings of Td and T(12) (2 each), and 2 ConstPos, which rank last.
+    // Edge (3, 6) carries every kept one: position 6 has only ConstPos(6).
+    val score: String => Double = { case "ab" | "12" => 1.0; case _ => 0.0 }
+    val pf = positionFunctions("ab12.", "ab12.", score)
+    assert(pf(3).size == cfg.maxPosFnsPerPosition && !pf(3).exists(_.isInstanceOf[ConstPos]), pf(3))
+    assert(pf.values.forall(_.size <= cfg.maxPosFnsPerPosition), pf)
   }
 
   test("buildPool: every edge's label ids strictly ascend on the golden pools") {

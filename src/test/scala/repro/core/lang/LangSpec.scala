@@ -93,21 +93,21 @@ class LangSpec extends AnyFunSuite {
   }
 
   test("Prefix label semantics (Example 4.7)") {
-    assert(Label.canOutput(PrefixF(Tl, 1), "Street", "t"))   // 't' prefix of "treet"
-    assert(Label.canOutput(PrefixF(Tl, 1), "Avenue", "ve"))  // 've' prefix of "venue"
-    assert(!Label.canOutput(PrefixF(Tl, 1), "Street", "re"))
-    assert(!Label.canOutput(PrefixF(Tl, 1), "Street", ""))
+    assert(PathCheck.consistent(Seq(PrefixF(Tl, 1)), "Street", "t"))   // 't' prefix of "treet"
+    assert(PathCheck.consistent(Seq(PrefixF(Tl, 1)), "Avenue", "ve"))  // 've' prefix of "venue"
+    assert(!PathCheck.consistent(Seq(PrefixF(Tl, 1)), "Street", "re"))
+    assert(!PathCheck.consistent(Seq(PrefixF(Tl, 1)), "Street", ""))
   }
 
   test("Suffix label semantics") {
-    assert(Label.canOutput(SuffixF(Tl, 1), "Street", "eet"))
-    assert(Label.canOutput(SuffixF(Tl, 1), "Street", "treet"))
-    assert(!Label.canOutput(SuffixF(Tl, 1), "Street", "tre"))
+    assert(PathCheck.consistent(Seq(SuffixF(Tl, 1)), "Street", "eet"))
+    assert(PathCheck.consistent(Seq(SuffixF(Tl, 1)), "Street", "treet"))
+    assert(!PathCheck.consistent(Seq(SuffixF(Tl, 1)), "Street", "tre"))
   }
 
   test("affix labels support backwards k") {
-    assert(Label.canOutput(PrefixF(Tl, -1), "New York", "or"))
-    assert(Label.canOutput(SuffixF(Tc, -2), "New York", "N"))
+    assert(PathCheck.consistent(Seq(PrefixF(Tl, -1)), "New York", "or"))
+    assert(PathCheck.consistent(Seq(SuffixF(Tc, -2)), "New York", "N"))
   }
 
   test("matchLengthsAt for deterministic and affix labels") {

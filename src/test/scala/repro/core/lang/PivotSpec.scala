@@ -91,7 +91,7 @@ class PivotSpec extends AnyFunSuite {
   }
 
   test("an overlong deletion shares the empty program with a short one") {
-    val overlong = "(" + "x" * 29 + ")" // 31 chars, past the default maxSideLen of 30
+    val overlong = "(" + "x" * 29 + ")" // 31 chars, past maxSideLen = 30
     val pool     = Seq(Trans(overlong, ""), Trans("(tm)", ""))
     val gs       = group(pool)
     assert(gs.map(g => (g.pathKey, g.members.toSet)) == Vector(("ε", pool.toSet)))

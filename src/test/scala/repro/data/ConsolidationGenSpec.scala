@@ -56,7 +56,7 @@ class ConsolidationGenSpec extends SparkSpec {
 
   test("positive-pair rates mimic the paper's samples (74% / 26.5% / 18%)") {
     def rate(df: org.apache.spark.sql.DataFrame): Double = {
-      val p = ConsolidationGen.samplePairs(spark, df, 4000, seed = 5)
+      val p = ConsolidationGen.samplePairs(spark, df, 4000)
       val pos = p.where(col("positive")).count().toDouble
       pos / p.count()
     }
@@ -111,7 +111,7 @@ class ConsolidationGenSpec extends SparkSpec {
 
   test("samplePairs only pairs records within a cluster with distinct values") {
     import spark.implicits._
-    val pairs = ConsolidationGen.samplePairs(spark, addr, 500, seed = 3)
+    val pairs = ConsolidationGen.samplePairs(spark, addr, 500)
       .as[(Long, Long, Long, Boolean)].collect()
     val vals = addr.select("recordId", "value").as[(Long, String)].collect().toMap
     val clus = addr.select("recordId", "cluster").as[(Long, Long)].collect().toMap
@@ -122,8 +122,8 @@ class ConsolidationGenSpec extends SparkSpec {
   }
 
   test("sampleClusters is deterministic and within range") {
-    val s1 = ConsolidationGen.sampleClusters(spark, addr, 20, seed = 9)
-    val s2 = ConsolidationGen.sampleClusters(spark, addr, 20, seed = 9)
+    val s1 = ConsolidationGen.sampleClusters(spark, addr, 20)
+    val s2 = ConsolidationGen.sampleClusters(spark, addr, 20)
     assert(s1 == s2)
     assert(s1.size == 20)
   }
