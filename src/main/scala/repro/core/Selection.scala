@@ -67,6 +67,6 @@ object Selection {
 
     (case1.iterator.map { case (k, _, _) => if (reverse) longer(k).reverse else longer(k) } ++ kept)
       .toVector
-      .sortBy(tr => (tr.lhs, tr.rhs))
+      .sorted(Trans.ByText)
   }
 }

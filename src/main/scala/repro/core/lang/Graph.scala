@@ -1,7 +1,5 @@
 package repro.core.lang
 
-import scala.collection.mutable
-
 /** Graph construction settings. `affix` turns the affix labels (Definition
   * 6) on or off, for the NoAffix experiments. The paper prunes labels with a
   * manually-defined static order but gives no constants (Appendix B); the
@@ -82,17 +80,19 @@ object GraphBuilder {
                 constScore: String => Double): GraphPool = {
     val dict      = new LangDict
     val positions = sides.map { case (s, t) =>
-      if (overlong(s, t, cfg)) Array.empty[Array[Int]] else positionIds(dict, s, cfg, constScore)
+      if (overlong(s, t, cfg)) Array.empty[IntBuf] else positionIds(dict, s, cfg, constScore)
     }
     dict.orderPositions()
-    val raw = sides.lazyZip(positions).map { case ((s, t), ps) => buildRaw(dict, s, t, ps, cfg) }.toVector
-    val ids  = dict.number(raw.map(_.codes))
+    val builder = new PoolBuilder(dict, cfg)
+    val raw     = sides.lazyZip(positions).map { case ((s, t), ps) => builder.graph(s, t, ps) }.toVector
+    val ids     = dict.number(raw.map(_.codes))
+    // Every edge holds its capped labels in static (= id) order and then its
+    // ConstantStr, which has the top static rank, so the ids strictly ascend
+    // along each edge. The pivot search's alias skip relies on it.
     val graphs = raw.map { r =>
-      val labs = r.codes.map(ids.get)
-      // Every edge's capped labels in static (= id) order, its ConstantStr
-      // last: ConstantStr has the top static rank, so the ids strictly
-      // ascend along each edge. The pivot search's alias skip relies on it.
-      for (e <- r.target.indices) java.util.Arrays.sort(labs, r.labOff(e), r.labOff(e + 1) - 1)
+      val labs = new Array[Int](r.codes.length)
+      var k = 0
+      while (k < labs.length) { labs(k) = ids.get(r.codes(k)); k += 1 }
       new IntGraph(r.s, r.t, r.nodeOff, r.target, r.labOff, labs)
     }
     new GraphPool(dict, graphs)
@@ -105,175 +105,274 @@ object GraphBuilder {
   private def overlong(s: String, t: String, cfg: GraphConfig): Boolean =
     s.length > cfg.maxSideLen || t.length > cfg.maxSideLen
 
-  /** The graph of `s → t` given the capped position functions of `s`. */
-  private def buildRaw(dict: LangDict, s: String, t: String, positions: Array[Array[Int]],
-                       cfg: GraphConfig): RawGraph = {
-    val last = t.length + 1
-    // degenerate graph: the one edge (1, |t|+1) labeled ConstantStr(t), none for an empty t
-    if (overlong(s, t, cfg))
-      return if (t.isEmpty) new RawGraph(s, t, new Array[Int](3), Array.emptyIntArray, Array(0), Array.emptyLongArray)
-      else new RawGraph(s, t, Array.tabulate(last + 2)(i => if (i <= 1) 0 else 1), Array(last),
-                        Array(0, 1), Array(dict.constant(t)))
+  /** Builds the graphs of one pool, one after another, reusing its buffers. */
+  private final class PoolBuilder(dict: LangDict, cfg: GraphConfig) {
+    private val firsts = new Firsts(dict, cfg.maxLabelsPerEdge - 1)
+    private val occ    = new IntBuf
+    private val codes  = new LongBuf
+    // affix labels of the current graph by edge, CSR over i * (|t| + 2) + j
+    private val affEdge  = new IntBuf
+    private val affCode  = new LongBuf
+    private var affOff   = Array.emptyIntArray
+    private var affCodes = Array.emptyLongArray
+    // capped position functions of the current lhs, in static order, and per
+    // position the end of its regex (`end0`) and of its MatchPos (`end1`) run
+    private var posFns: Array[Array[Int]] = null
+    private var end0, end1: Array[Int]    = null
 
-    // Affix labels (Definition 6), longest-prefix/suffix-only (Appendix B),
-    // per edge (i, j) at i * (last + 1) + j.
-    val affix = new Array[LongBuf]((last + 1) * (last + 1))
-    def affixAt(i: Int, j: Int): LongBuf = {
-      val at = i * (last + 1) + j
-      if (affix(at) == null) affix(at) = new LongBuf
-      affix(at)
+    /** The graph of `s → t` given the position functions of `s`. */
+    def graph(s: String, t: String, positions: Array[IntBuf]): RawGraph = {
+      val last = t.length + 1
+      // degenerate graph: the one edge (1, |t|+1) labeled ConstantStr(t), none for an empty t
+      if (overlong(s, t, cfg))
+        return if (t.isEmpty) new RawGraph(s, t, new Array[Int](3), Array.emptyIntArray, Array(0), Array.emptyLongArray)
+        else new RawGraph(s, t, Array.tabulate(last + 2)(i => if (i <= 1) 0 else 1), Array(last),
+                          Array(0, 1), Array(dict.constant(t)))
+
+      capPositions(positions)
+      affEdge.clear(); affCode.clear()
+      if (cfg.affix) affixLabels(s, t)
+      indexAffixes(last)
+
+      // ConstantStr and SubStr labels for every substring t[i, j), node by
+      // node, farthest target first.
+      val nEdges  = t.length * last / 2
+      val nodeOff = new Array[Int](last + 2)
+      val target  = new Array[Int](nEdges)
+      val labOff  = new Array[Int](nEdges + 1)
+      codes.clear()
+      var e = 0
+      var i = 1
+      while (i <= t.length) {
+        nodeOff(i) = e
+        var j = last
+        while (j > i) {
+          val sub = t.substring(i - 1, j - 1)
+          occ.clear()
+          var x = s.indexOf(sub)
+          while (x >= 0) { occ += x; x = s.indexOf(sub, x + 1) }
+          // The labels of each static rank in turn, until the cap is full:
+          // the later ranks sort after every label kept so far.
+          firsts.clear()
+          subStrs(sub.length, 0)
+          if (!firsts.full) {
+            var k = affOff(i * (last + 1) + j)
+            while (k < affOff(i * (last + 1) + j + 1)) { firsts.offer(affCodes(k)); k += 1 }
+          }
+          if (!firsts.full) subStrs(sub.length, 2)
+          if (!firsts.full) subStrs(sub.length, 3)
+          var k = 0
+          while (k < firsts.n) { codes += firsts.a(k); k += 1 }
+          // Definition 4 guarantees exactly one ConstantStr per edge; it is the
+          // fallback that keeps every graph connected, so it is exempt from the cap.
+          codes += dict.constant(sub)
+          target(e) = j
+          e += 1
+          labOff(e) = codes.n
+          j -= 1
+        }
+        i += 1
+      }
+      nodeOff(last) = e
+      nodeOff(last + 1) = e
+      new RawGraph(s, t, nodeOff, target, labOff, java.util.Arrays.copyOf(codes.a, codes.n))
     }
-    if (cfg.affix) {
-      for ((term, ti) <- Term.regexTerms.zipWithIndex) {
-        val ms = Term.matches(term, s)
+
+    /** Offers the SubStr labels of static rank `rank` over every occurrence
+      * in `occ` of a substring of length `len`.
+      */
+    private def subStrs(len: Int, rank: Int): Unit = {
+      var o = 0
+      while (o < occ.n) {
+        val x  = occ(o) + 1
+        val ls = posFns(x); val rs = posFns(x + len)
+        // the position functions whose Pos.rank can give the SubStr `rank`
+        val lEnd = if (rank == 0) end0(x) else if (rank == 2) end1(x) else ls.length
+        val rEnd = if (rank == 0) end0(x + len) else if (rank == 2) end1(x + len) else rs.length
+        var a = 0
+        while (a < lEnd) {
+          var b = 0
+          while (b < rEnd) {
+            if (rank == 0 || Label.subStrRank(dict.posRank(ls(a)), dict.posRank(rs(b))) == rank)
+              firsts.offer(dict.subStr(ls(a), rs(b)))
+            b += 1
+          }
+          a += 1
+        }
+        o += 1
+      }
+    }
+
+    /** Keeps the first `maxPosFnsPerPosition` position functions of each
+      * position, in static order.
+      */
+    private def capPositions(positions: Array[IntBuf]): Unit = {
+      posFns = new Array[Array[Int]](positions.length)
+      end0 = new Array[Int](positions.length)
+      end1 = new Array[Int](positions.length)
+      var x = 1
+      while (x < positions.length) {
+        val buf = positions(x)
+        // insertion sort: a position has at most ten candidates
+        var k = 1
+        while (k < buf.n) {
+          val p = buf(k)
+          var m = k
+          while (m > 0 && dict.posBefore(p, buf(m - 1))) { buf.a(m) = buf(m - 1); m -= 1 }
+          buf.a(m) = p
+          k += 1
+        }
+        val fns = java.util.Arrays.copyOf(buf.a, math.min(buf.n, cfg.maxPosFnsPerPosition))
+        posFns(x) = fns
+        while (end0(x) < fns.length && dict.posRank(fns(end0(x))) == 0) end0(x) += 1
+        end1(x) = end0(x)
+        while (end1(x) < fns.length && dict.posRank(fns(end1(x))) == 1) end1(x) += 1
+        x += 1
+      }
+    }
+
+    /** Affix labels (Definition 6), longest-prefix/suffix-only (Appendix B),
+      * into `affEdge`/`affCode`, the edge (i, j) as i * (|t| + 2) + j.
+      */
+    private def affixLabels(s: String, t: String): Unit = {
+      val last = t.length + 1
+      var ti = 0
+      while (ti < RegexTerms.length) {
+        val ms = Term.matches(RegexTerms(ti), s)
         val m  = ms.length
-        for (((b, e), k0) <- ms.zipWithIndex) {
-          val k     = k0 + 1
-          val mtext = s.substring(b - 1, e - 1)
-          for (i <- 1 to t.length) {
+        var k  = 1
+        while (k <= m) {
+          val mtext = s.substring(ms(k - 1)._1 - 1, ms(k - 1)._2 - 1)
+          var i = 1
+          while (i <= t.length) {
             val len = commonPrefixLen(t, i - 1, mtext)
             if (len >= 1) {
-              val buf = affixAt(i, i + len)
-              buf += dict.prefix(ti, k)
-              buf += dict.prefix(ti, k - m - 1)
+              affEdge += i * (last + 1) + i + len; affCode += dict.prefix(ti, k)
+              affEdge += i * (last + 1) + i + len; affCode += dict.prefix(ti, k - m - 1)
             }
+            i += 1
           }
-          for (j <- 2 to last) {
+          var j = 2
+          while (j <= last) {
             val len = commonSuffixLen(t, j - 1, mtext)
             if (len >= 1) {
-              val buf = affixAt(j - len, j)
-              buf += dict.suffix(ti, k)
-              buf += dict.suffix(ti, k - m - 1)
+              affEdge += (j - len) * (last + 1) + j; affCode += dict.suffix(ti, k)
+              affEdge += (j - len) * (last + 1) + j; affCode += dict.suffix(ti, k - m - 1)
             }
+            j += 1
           }
+          k += 1
         }
+        ti += 1
       }
     }
 
-    // ConstantStr and SubStr labels for every substring t[i, j), node by
-    // node, farthest target first.
-    val nEdges  = t.length * last / 2
-    val nodeOff = new Array[Int](last + 2)
-    val target  = new Array[Int](nEdges)
-    val labOff  = new Array[Int](nEdges + 1)
-    val codes   = new LongBuf
-    val cand    = new LongBuf
-    var e = 0
-    for (i <- 1 to t.length) {
-      nodeOff(i) = e
-      for (j <- last until i by -1) {
-        val sub = t.substring(i - 1, j - 1)
-        cand.clear()
-        var x = s.indexOf(sub)
-        while (x >= 0) {
-          val ls = positions(x + 1)
-          val rs = positions(x + 1 + sub.length)
-          for (f <- ls; g <- rs) cand += dict.subStr(f, g)
-          x = s.indexOf(sub, x + 1)
-        }
-        val aff = affix(i * (last + 1) + j)
-        if (aff != null) for (k <- 0 until aff.n) cand += aff(k)
-        // Definition 4 guarantees exactly one ConstantStr per edge; it is the
-        // fallback that keeps every graph connected, so it is exempt from the cap.
-        val kept = selectFirst(cand.a, cand.n, cfg.maxLabelsPerEdge - 1, dict.rankOf, dict.before)
-        for (k <- 0 until kept) codes += cand(k)
-        codes += dict.constant(sub)
-        target(e) = j
-        e += 1
-        labOff(e) = codes.n
-      }
+    /** Counting sort of the affix labels by edge into `affOff`/`affCodes`. */
+    private def indexAffixes(last: Int): Unit = {
+      val nSlots = (last + 1) * (last + 1)
+      if (affOff.length < nSlots + 1) affOff = new Array[Int](nSlots + 1)
+      java.util.Arrays.fill(affOff, 0, nSlots + 1, 0)
+      var k = 0
+      while (k < affEdge.n) { affOff(affEdge(k) + 1) += 1; k += 1 }
+      var at = 0
+      while (at < nSlots) { affOff(at + 1) += affOff(at); at += 1 }
+      if (affCodes.length < affCode.n) affCodes = new Array[Long](affCode.a.length)
+      val next = java.util.Arrays.copyOf(affOff, nSlots)
+      k = 0
+      while (k < affEdge.n) { affCodes(next(affEdge(k))) = affCode(k); next(affEdge(k)) += 1; k += 1 }
     }
-    nodeOff(last) = e
-    nodeOff(last + 1) = e
-    new RawGraph(s, t, nodeOff, target, labOff, java.util.Arrays.copyOf(codes.a, codes.n))
   }
 
-  /** Ids of the capped position functions of each position 1..|s|+1, in
-    * no particular order.
+  /** The first `cap` distinct label codes offered since `clear`, in the
+    * static order `LangDict.before`, kept sorted in `a(0 until n)`.
+    */
+  private final class Firsts(dict: LangDict, cap: Int) {
+    val a = new Array[Long](cap)
+    var n = 0
+    def clear(): Unit     = n = 0
+    def full: Boolean     = n == cap
+    def offer(c: Long): Unit =
+      if (n < cap || dict.before(c, a(cap - 1))) {
+        var m = if (n < cap) { n += 1; n - 1 } else cap - 1
+        while (m > 0 && dict.before(c, a(m - 1))) { a(m) = a(m - 1); m -= 1 }
+        a(m) = c
+      }
+  }
+
+  private val RegexTerms = Term.regexTerms.toArray
+
+  /** The position functions of each position 1..|s|+1 of `s`, uncapped:
+    * every regex MatchPos, the top-ranked constant-term MatchPos and the
+    * ConstPos.
     */
   private def positionIds(dict: LangDict, s: String, cfg: GraphConfig,
-                          constScore: String => Double): Array[Array[Int]] = {
-    val acc = Array.fill(s.length + 2)(new LongBuf)
+                          constScore: String => Double): Array[IntBuf] = {
+    val acc = Array.fill(s.length + 2)(new IntBuf)
 
-    for ((t, term) <- Term.regexTerms.zipWithIndex) {
-      val ms = Term.matches(t, s)
+    var term = 0
+    while (term < RegexTerms.length) {
+      val ms = Term.matches(RegexTerms(term), s)
       val m  = ms.length
-      for (((b, e), k0) <- ms.zipWithIndex) {
-        val k = k0 + 1
+      var k  = 1
+      while (k <= m) {
+        val (b, e) = ms(k - 1)
         acc(b) += dict.matchPos(term, k, end = false); acc(b) += dict.matchPos(term, k - m - 1, end = false)
         acc(e) += dict.matchPos(term, k, end = true); acc(e) += dict.matchPos(term, k - m - 1, end = true)
+        k += 1
       }
+      term += 1
     }
 
-    // Top-ranked constant-string term per position (begin and end separately).
-    val bestB = mutable.HashMap.empty[Int, (String, Int, Int, Double)] // pos -> (str, k, m, score)
-    val bestE = mutable.HashMap.empty[Int, (String, Int, Int, Double)]
-    val seen  = mutable.HashSet.empty[String]
-    for (a <- 0 until s.length; b <- (a + 1) to math.min(s.length, a + cfg.maxConstTermLen)) {
-      val sub = s.substring(a, b)
-      if (seen.add(sub)) {
-        val score = constScore(sub)
+    // Top-ranked constant-string term per position (begin and end
+    // separately): the highest score, ties to the smaller string. Each
+    // distinct substring is scored at its first occurrence.
+    val bestB, bestE         = new Array[String](s.length + 2)
+    val scoreB, scoreE       = new Array[Double](s.length + 2)
+    val kB, kE, countB, countE = new Array[Int](s.length + 2)
+    var a = 0
+    while (a < s.length) {
+      var b = a + 1
+      while (b <= math.min(s.length, a + cfg.maxConstTermLen)) {
+        val sub = s.substring(a, b)
+        val score = if (s.indexOf(sub) == a) constScore(sub) else 0.0
         if (score > 0) {
-          val ms = Term.matches(TStr(sub), s)
-          val m  = ms.length
-          for (((x, y), k0) <- ms.zipWithIndex) {
-            val k = k0 + 1
-            def better(cur: Option[(String, Int, Int, Double)]): Boolean =
-              cur.forall { case (cs, _, _, cscore) => score > cscore || (score == cscore && sub < cs) }
-            if (better(bestB.get(x))) bestB(x) = (sub, k, m, score)
-            if (better(bestE.get(y))) bestE(y) = (sub, k, m, score)
+          var m = 0
+          var x = a
+          while (x >= 0) { m += 1; x = s.indexOf(sub, x + 1) }
+          var k = 1
+          x = a
+          while (x >= 0) {
+            val y = x + 1 + sub.length
+            if (bestB(x + 1) == null || score > scoreB(x + 1) || (score == scoreB(x + 1) && sub < bestB(x + 1))) {
+              bestB(x + 1) = sub; scoreB(x + 1) = score; kB(x + 1) = k; countB(x + 1) = m
+            }
+            if (bestE(y) == null || score > scoreE(y) || (score == scoreE(y) && sub < bestE(y))) {
+              bestE(y) = sub; scoreE(y) = score; kE(y) = k; countE(y) = m
+            }
+            k += 1
+            x = s.indexOf(sub, x + 1)
           }
         }
+        b += 1
       }
-    }
-    for ((x, (str, k, m, _)) <- bestB) {
-      val id = dict.strId(str)
-      acc(x) += dict.strMatchPos(id, k, end = false); acc(x) += dict.strMatchPos(id, k - m - 1, end = false)
-    }
-    for ((y, (str, k, m, _)) <- bestE) {
-      val id = dict.strId(str)
-      acc(y) += dict.strMatchPos(id, k, end = true); acc(y) += dict.strMatchPos(id, k - m - 1, end = true)
-    }
-
-    for (x <- 1 to (s.length + 1)) {
-      acc(x) += dict.constPos(x)
-      if (x <= s.length) acc(x) += dict.constPos(x - s.length - 1)
-    }
-
-    acc.map { buf =>
-      val kept = selectFirst(buf.a, buf.n, cfg.maxPosFnsPerPosition,
-        id => dict.posRank(id.toInt), (p, q) => dict.posBefore(p.toInt, q.toInt))
-      Array.tabulate(kept)(k => buf(k).toInt)
-    }
-  }
-
-  /** Moves the first `limit` of the distinct items `c(0 until n)` in the
-    * order `before` to the front of `c`, in no particular order, and returns
-    * how many that is. `before` orders by `rank` (in 0..4) first; items of a
-    * rank that lies wholly inside or outside the first `limit` are never
-    * compared with `before`, which keeps string keys off the hot path.
-    */
-  private def selectFirst(c: Array[Long], n: Int, limit: Int,
-                          rank: Long => Int, before: (Long, Long) => Boolean): Int = {
-    if (n <= limit) return n
-    def swap(x: Int, y: Int): Unit = { val v = c(x); c(x) = c(y); c(y) = v }
-    val count = new Array[Int](5)
-    for (k <- 0 until n) count(rank(c(k))) += 1
-    var cut   = 0 // the rank at which the first `limit` items end
-    var below = 0
-    while (below + count(cut) < limit) { below += count(cut); cut += 1 }
-    var a = 0
-    for (k <- 0 until n) if (rank(c(k)) < cut) { swap(a, k); a += 1 }
-    var b = a
-    for (k <- a until n) if (rank(c(k)) == cut) { swap(b, k); b += 1 }
-    // selection of the `limit - a` first items of rank `cut`
-    while (a < limit) {
-      var m = a
-      for (k <- a + 1 until b) if (before(c(k), c(m))) m = k
-      swap(a, m)
       a += 1
     }
-    limit
+
+    var x = 1
+    while (x <= s.length + 1) {
+      if (bestB(x) != null) {
+        val id = dict.strId(bestB(x))
+        acc(x) += dict.strMatchPos(id, kB(x), end = false); acc(x) += dict.strMatchPos(id, kB(x) - countB(x) - 1, end = false)
+      }
+      if (bestE(x) != null) {
+        val id = dict.strId(bestE(x))
+        acc(x) += dict.strMatchPos(id, kE(x), end = true); acc(x) += dict.strMatchPos(id, kE(x) - countE(x) - 1, end = true)
+      }
+      acc(x) += dict.constPos(x)
+      if (x <= s.length) acc(x) += dict.constPos(x - s.length - 1)
+      x += 1
+    }
+    acc
   }
 
   private def commonPrefixLen(t: String, at: Int, m: String): Int = {

@@ -180,10 +180,15 @@ object Label {
   * (DESIGN.md §6): each distinct string, position function and label gets
   * an integer id, with its key and static rank computed once.
   *
-  * While graphs are built a label is a packed `Long` code over string and
-  * position ids. `number` then gives the labels that survived the per-edge
-  * caps dense ids in the Appendix-B static order `(staticRank, key)`, so
-  * that order is int order everywhere downstream.
+  * While graphs are built a label is a packed `Long` code, and `before`
+  * compares codes in the Appendix-B static order `(staticRank, key)`
+  * without building keys. SubStr and affix codes are built so that, within
+  * a static rank, their numeric order is their key order: a SubStr code
+  * holds the key ranks of its two positions (`orderPositions`), an affix
+  * code the rank of its term's key and an image of `k`'s digits. A
+  * `ConstantStr` code holds a string id; `number` ranks the strings by key
+  * once. `number` then gives the labels that survived the per-edge caps
+  * dense ids in static order, so it is int order everywhere downstream.
   */
 final class LangDict {
   import LangDict._
@@ -206,24 +211,25 @@ final class LangDict {
   def pos(id: Int): Pos     = posObjs(id)
   def posRank(id: Int): Int = posRanks(id)
 
-  /** Static order of position ids: `(Pos.rank, key)`, then the id. */
+  /** Static order of position ids: `(Pos.rank, key)`. Valid after
+    * `orderPositions`.
+    */
   def posBefore(p: Int, q: Int): Boolean =
-    if (posRanks(p) != posRanks(q)) posRanks(p) < posRanks(q)
-    else {
-      val c = posObjs(p).key.compareTo(posObjs(q).key)
-      c < 0 || (c == 0 && p < q)
-    }
+    if (posRanks(p) != posRanks(q)) posRanks(p) < posRanks(q) else posOrder(p) < posOrder(q)
 
-  private var posOrder: Array[Int] = Array.emptyIntArray
+  private var posOrder: Array[Int] = Array.emptyIntArray // id -> rank of its key
+  private var byKey: Array[Int]    = Array.emptyIntArray // rank of a key -> id
+  private var keyRanks: Array[Int] = Array.emptyIntArray // rank of a key -> Pos.rank
   private var posKeysPrefixFree    = false
 
   /** Rank the position keys; call after the last position is interned and
-    * before labels are compared.
+    * before positions are compared or SubStr labels made.
     */
   def orderPositions(): Unit = {
-    val byKey = Array.range(0, posObjs.length).sortBy(posObjs(_).key)
+    byKey = Array.range(0, posObjs.length).sortBy(posObjs(_).key)
     posOrder = new Array[Int](byKey.length)
     for (k <- byKey.indices) posOrder(byKey(k)) = k
+    keyRanks = byKey.map(posRanks(_))
     // a key that prefixes another also prefixes its successor in key order
     posKeysPrefixFree = (1 until byKey.length).forall(k => !posObjs(byKey(k)).key.startsWith(posObjs(byKey(k - 1)).key))
   }
@@ -246,75 +252,91 @@ final class LangDict {
     }
   }
 
-  // Label codes: the kind in bits 60-61, then position ids, term and k, or a string id.
-  def subStr(l: Int, r: Int): Long    = (SubStrKind << 60) | (l.toLong << 30) | r
-  def prefix(term: Int, k: Int): Long = (PrefixKind << 60) | (term.toLong << 32) | (k & 0xffffffffL)
-  def suffix(term: Int, k: Int): Long = (SuffixKind << 60) | (term.toLong << 32) | (k & 0xffffffffL)
+  // Label codes: the kind in bits 60-61; then the key ranks of the two
+  // positions, the term's key rank and the image of k, or a string id.
+  def subStr(l: Int, r: Int): Long    = (SubStrKind << 60) | (posOrder(l).toLong << 30) | posOrder(r)
+  def prefix(term: Int, k: Int): Long = (PrefixKind << 60) | affix(term, k)
+  def suffix(term: Int, k: Int): Long = (SuffixKind << 60) | affix(term, k)
   def constant(x: String): Long       = (ConstKind << 60) | strId(x)
 
   def rankOf(code: Long): Int = code >>> 60 match {
-    case SubStrKind => Label.subStrRank(posRanks((code >>> 30).toInt & Mask30), posRanks(code.toInt & Mask30))
+    case SubStrKind => Label.subStrRank(keyRanks((code >>> 30).toInt & Mask30), keyRanks(code.toInt & Mask30))
     case ConstKind  => 4
     case _          => 1
   }
 
-  private val keyIdx  = new LongIntMap
-  private val keyStrs = mutable.ArrayBuffer.empty[String]
-
-  def keyOf(code: Long): String = {
-    val i = keyIdx.get(code)
-    if (i >= 0) keyStrs(i)
-    else {
-      val key = labelOf(code).key
-      keyIdx.put(code, keyStrs.length)
-      keyStrs += key
-      key
-    }
-  }
-
   private def labelOf(code: Long): Label = code >>> 60 match {
-    case SubStrKind => SubStrF(pos((code >>> 30).toInt & Mask30), pos(code.toInt & Mask30))
-    case PrefixKind => PrefixF(RegexTerms((code >>> 32).toInt & 3), code.toInt)
-    case SuffixKind => SuffixF(RegexTerms((code >>> 32).toInt & 3), code.toInt)
+    case SubStrKind => SubStrF(pos(byKey((code >>> 30).toInt & Mask30)), pos(byKey(code.toInt & Mask30)))
+    case PrefixKind => PrefixF(affixTerm(code), affixK(code))
+    case SuffixKind => SuffixF(affixTerm(code), affixK(code))
     case _          => ConstantStr(strs(code.toInt))
   }
 
-  /** Static order of label codes: `(staticRank, key)`, then the code. */
+  /** Static order of label codes: `(staticRank, key)`, then the code.
+    * `ConstantStr` codes compare only inside `number`.
+    */
   def before(a: Long, b: Long): Boolean = {
     val ra = rankOf(a); val rb = rankOf(b)
     if (ra != rb) ra < rb
+    else if (ra == 4) strOrder(a.toInt) < strOrder(b.toInt)
+    else if (ra == 1 || posKeysPrefixFree) a < b
     else {
-      val c = compareKeys(a, b)
+      // `SS(l,r)` keys order as `(key(l), key(r))` only when no position key
+      // is a prefix of another
+      val c = labelOf(a).key.compareTo(labelOf(b).key)
       c < 0 || (c == 0 && a < b)
     }
   }
 
-  /** The sign of `keyOf(a).compareTo(keyOf(b))`. SubStr keys, the bulk of
-    * every edge, are not built: when no position key is a prefix of another,
-    * `SS(l,r)` keys order as `(key(l), key(r))`, i.e. by `posOrder`.
-    */
-  private def compareKeys(a: Long, b: Long): Int =
-    if ((a >>> 60) != SubStrKind || (b >>> 60) != SubStrKind) keyOf(a).compareTo(keyOf(b))
-    else {
-      val l1 = (a >>> 30).toInt & Mask30; val r1 = a.toInt & Mask30
-      val l2 = (b >>> 30).toInt & Mask30; val r2 = b.toInt & Mask30
-      if (posKeysPrefixFree) { if (l1 != l2) posOrder(l1) - posOrder(l2) else posOrder(r1) - posOrder(r2) }
-      else keyOf(a).compareTo(keyOf(b))
-    }
-
-  private var codes: Array[Long]   = Array.emptyLongArray
-  private var labels: Array[Label] = Array.empty
+  private var strOrder: Array[Int]  = Array.emptyIntArray // string id -> rank of its key CS(x)
+  private var strByKey: Array[Int]  = Array.emptyIntArray // rank of a key CS(x) -> string id
+  private var codes: Array[Long]    = Array.emptyLongArray
+  private var labels: Array[Label]  = Array.empty
 
   /** Number the distinct label codes in `used` in static order; returns the
     * code -> id map. Called once, after the pool's graphs are built.
     */
   def number(used: Seq[Array[Long]]): LongIntMap = {
-    val ids = new LongIntMap
-    for (cs <- used; c <- cs) if (ids.get(c) < 0) ids.put(c, 0)
-    codes = ids.keys.sortWith(before)
-    labels = new Array[Label](codes.length)
+    val ids = new LongIntMap(used.iterator.map(_.length).sum / 2)
+    for (cs <- used) {
+      var k = 0
+      while (k < cs.length) { ids.putIfAbsent(cs(k), 0); k += 1 }
+    }
+    val strsByKey = strs.toArray
+    java.util.Arrays.sort(strsByKey, ConstKeyOrder)
+    strOrder = new Array[Int](strsByKey.length)
+    strByKey = new Array[Int](strsByKey.length)
+    for (k <- strsByKey.indices) { strByKey(k) = strIds(strsByKey(k)); strOrder(strByKey(k)) = k }
+    codes = ids.keys
+    if (posKeysPrefixFree) {
+      // the static order is the order of these unique keys
+      for (k <- codes.indices) codes(k) = orderKey(codes(k))
+      java.util.Arrays.sort(codes)
+      for (k <- codes.indices) codes(k) = codeOf(codes(k))
+    } else codes = codes.sortWith(before)
     for (id <- codes.indices) ids.put(codes(id), id)
+    labels = new Array[Label](codes.length)
     ids
+  }
+
+  /** The static order of a code as a number, while position keys are
+    * prefix-free: the static rank in bits 60-62, then the code's order
+    * within the rank.
+    */
+  private def orderKey(code: Long): Long = {
+    val within = code >>> 60 match {
+      case SubStrKind => code
+      case ConstKind  => strOrder(code.toInt).toLong
+      case kind       => ((kind - PrefixKind) << 50) | (code & AffixBits)
+    }
+    (rankOf(code).toLong << 60) | within
+  }
+
+  /** The code of an `orderKey`. */
+  private def codeOf(key: Long): Long = key >>> 60 match {
+    case 4L => (ConstKind << 60) | strByKey(key.toInt)
+    case 1L => ((PrefixKind + ((key >>> 50) & 1)) << 60) | (key & AffixBits)
+    case _ => key & ((1L << 60) - 1)
   }
 
   def numLabels: Int = codes.length
@@ -332,16 +354,59 @@ object LangDict {
   private final val SuffixKind = 2L
   private final val ConstKind  = 3L
   private final val Mask30     = (1 << 30) - 1
+  private final val AffixBits  = (1L << 50) - 1
   private val RegexTerms       = Term.regexTerms.toArray
+  private val TermKeyRank      = RegexTerms.map(t => RegexTerms.map(_.key).sorted.indexOf(t.key))
+
+  /** Orders strings `x` as their keys `CS(x)`, i.e. as `x + ")"`: so
+    * `a!` sorts before `a`, which sorts before `a)`.
+    */
+  private val ConstKeyOrder: java.util.Comparator[String] = (x, y) => {
+    val n = math.min(x.length, y.length)
+    var i = 0
+    while (i < n && x.charAt(i) == y.charAt(i)) i += 1
+    if (i < n) x.charAt(i) - y.charAt(i)
+    else if (x.length == y.length) 0
+    else if (x.length < y.length) { val c = ')' - y.charAt(i); if (c != 0) c else -1 }
+    else { val c = x.charAt(i) - ')'; if (c != 0) c else 1 }
+  }
+
+  /** The low bits of an affix code, which order like the rest of its key
+    * `PRE(term,k)` or `SUF(term,k)` after the kind: the rank of the term's
+    * key (all are two characters) in bits 48-49, then the characters of
+    * `k + ")"`, one hex digit each (`)` < `-` < `0`..`9`), from bit 44 down.
+    */
+  private def affix(term: Int, k: Int): Long = {
+    var acc = TermKeyRank(term).toLong << 48
+    var at  = 44 // bit offset of the next character
+    if (k < 0) { acc |= 2L << at; at -= 4 }
+    val v = math.abs(k.toLong)
+    var p = 1L
+    while (p * 10 <= v) p *= 10
+    while (p > 0) { acc |= (3 + v / p % 10) << at; at -= 4; p /= 10 }
+    acc | (1L << at)
+  }
+
+  private def affixTerm(code: Long): Term = RegexTerms(TermKeyRank.indexOf((code >>> 48).toInt & 3))
+
+  private def affixK(code: Long): Int = {
+    var at = 44
+    val negative = ((code >>> at) & 15) == 2
+    if (negative) at -= 4
+    var v = 0L
+    while (((code >>> at) & 15) != 1) { v = 10 * v + ((code >>> at) & 15) - 3; at -= 4 }
+    (if (negative) -v else v).toInt
+  }
 }
 
-/** An open-addressing `Long -> Int` map for non-negative values; `get` of an
-  * absent key is -1. Keys are spread by a multiplicative hash (`LongMap`'s
-  * hash collides on the packed codes of `LangDict`).
+/** An open-addressing `Long -> Int` map for non-negative values, sized for
+  * `expected` keys; `get` of an absent key is -1. Keys are spread by a
+  * multiplicative hash (`LongMap`'s hash collides on the packed codes of
+  * `LangDict`).
   */
-private[lang] final class LongIntMap {
-  private var ks   = new Array[Long](16)
-  private var vs   = Array.fill(16)(-1)
+private[lang] final class LongIntMap(expected: Int = 8) {
+  private var ks   = new Array[Long](Integer.highestOneBit(math.max(8, expected) * 4 - 1))
+  private var vs   = Array.fill(ks.length)(-1)
   private var size = 0
 
   private def slot(k: Long, mask: Int): Int = {
@@ -356,6 +421,22 @@ private[lang] final class LongIntMap {
     vs(i)
   }
 
+  def putIfAbsent(k: Long, v: Int): Unit = {
+    if (2 * (size + 1) > vs.length) grow()
+    val mask = vs.length - 1
+    var i    = slot(k, mask)
+    while (vs(i) >= 0 && ks(i) != k) i = (i + 1) & mask
+    if (vs(i) < 0) { size += 1; ks(i) = k; vs(i) = v }
+  }
+
+  def keys: Array[Long] = {
+    val out = new Array[Long](size)
+    var n = 0
+    var i = 0
+    while (i < vs.length) { if (vs(i) >= 0) { out(n) = ks(i); n += 1 }; i += 1 }
+    out
+  }
+
   def put(k: Long, v: Int): Unit = {
     if (2 * (size + 1) > vs.length) grow()
     val mask = vs.length - 1
@@ -365,14 +446,13 @@ private[lang] final class LongIntMap {
     ks(i) = k; vs(i) = v
   }
 
-  def keys: Array[Long] = ks.indices.iterator.filter(vs(_) >= 0).map(ks).toArray
-
   private def grow(): Unit = {
     val (oldK, oldV) = (ks, vs)
     ks = new Array[Long](2 * oldK.length)
     vs = Array.fill(2 * oldV.length)(-1)
     size = 0
-    for (i <- oldK.indices if oldV(i) >= 0) put(oldK(i), oldV(i))
+    var i = 0
+    while (i < oldK.length) { if (oldV(i) >= 0) put(oldK(i), oldV(i)); i += 1 }
   }
 }
 
@@ -385,6 +465,7 @@ private[lang] final class IntBuf {
     if (n == a.length) a = java.util.Arrays.copyOf(a, 2 * n)
     a(n) = x; n += 1
   }
+  def clear(): Unit = n = 0
 }
 
 /** A growable `Long` array. */

@@ -55,14 +55,24 @@ object Pivot {
     * substring (length ≤ maxLen). Used for the Appendix-B ranking score.
     */
   def constTermFreq(lhs: Iterable[String], maxLen: Int): Map[String, Int] = {
-    val acc = mutable.HashMap.empty[String, Int]
+    // per substring: the count, and the index of the last lhs counted
+    final class Count(var n: Int, var lastLhs: Int)
+    val acc = mutable.HashMap.empty[String, Count]
+    var i = 0
     for (s <- lhs) {
-      val subs = mutable.HashSet.empty[String]
-      for (a <- 0 until s.length; b <- (a + 1) to math.min(s.length, a + maxLen))
-        subs += s.substring(a, b)
-      for (sub <- subs) acc.updateWith(sub) { c => Some(c.getOrElse(0) + 1) }
+      var a = 0
+      while (a < s.length) {
+        var b = a + 1
+        while (b <= math.min(s.length, a + maxLen)) {
+          val c = acc.getOrElseUpdate(s.substring(a, b), new Count(0, -1))
+          if (c.lastLhs != i) { c.n += 1; c.lastLhs = i }
+          b += 1
+        }
+        a += 1
+      }
+      i += 1
     }
-    acc.toMap
+    acc.iterator.map { case (sub, c) => sub -> c.n }.toMap
   }
 
   /** Appendix-B score for constant terms: freq-in-group / sqrt(freq-global). */
@@ -78,7 +88,7 @@ object Pivot {
     */
   def groupByPrograms(pool: Seq[Trans], cfg: PivotConfig,
                       globalConstFreq: Map[String, Int]): Vector[ProgGroup] = {
-    val sorted = pool.distinct.sortBy(tr => (tr.lhs, tr.rhs)).toVector
+    val sorted = pool.distinct.sorted(Trans.ByText).toVector
     // A singleton pool can never merge, and an overlong transformation's
     // graph carries no label but the whole rhs (node ids past 63 would also
     // overflow the bitmask below): both get the program that outputs the rhs
@@ -135,67 +145,108 @@ object Pivot {
       // their edges are visited in ascending order, so each label's run is
       // sorted by (graph, edge)
       val start = new Array[Int](numLabels + 1)
-      for (g <- graphs; l <- g.labs) start(l + 1) += 1
-      for (f <- 0 until numLabels) start(f + 1) += start(f)
+      for (g <- graphs) {
+        var k = 0
+        while (k < g.labs.length) { start(g.labs(k) + 1) += 1; k += 1 }
+      }
+      var f = 0
+      while (f < numLabels) { start(f + 1) += start(f); f += 1 }
       val gids  = new Array[Int](start(numLabels))
       val edges = new Array[Int](start(numLabels))
       val next  = start.clone()
-      for ((g, gid) <- graphs.zipWithIndex; i <- 1 until g.lastNode) {
-        var e = g.nodeOff(i + 1) - 1
-        while (e >= g.nodeOff(i)) {
-          val packed = (i << 8) | g.target(e)
-          for (k <- g.labOff(e) until g.labOff(e + 1)) {
-            val f = g.labs(k)
-            gids(next(f)) = gid; edges(next(f)) = packed; next(f) += 1
+      var gid = 0
+      while (gid < graphs.length) {
+        val g = graphs(gid)
+        var i = 1
+        while (i < g.lastNode) {
+          var e = g.nodeOff(i + 1) - 1
+          while (e >= g.nodeOff(i)) {
+            val packed = (i << 8) | g.target(e)
+            var k = g.labOff(e)
+            while (k < g.labOff(e + 1)) {
+              val f = g.labs(k)
+              gids(next(f)) = gid; edges(next(f)) = packed; next(f) += 1
+              k += 1
+            }
+            e -= 1
           }
-          e -= 1
+          i += 1
         }
+        gid += 1
       }
-      // one posting per run of equal graph ids
-      val postGid = new IntBuf
-      val edgeOff = new IntBuf
-      for (f <- 0 until numLabels) {
-        postOff(f) = postGid.n
-        for (k <- start(f) until start(f + 1))
-          if (k == start(f) || gids(k) != gids(k - 1)) { postGid += gids(k); edgeOff += k }
+      // one posting per run of equal graph ids: count each label's, then fill
+      def startsPosting(f: Int, k: Int): Boolean = k == start(f) || gids(k) != gids(k - 1)
+      f = 0
+      while (f < numLabels) {
+        var k = start(f)
+        while (k < start(f + 1)) { if (startsPosting(f, k)) postOff(f + 1) += 1; k += 1 }
+        postOff(f + 1) += postOff(f)
+        f += 1
       }
-      postOff(numLabels) = postGid.n
-      edgeOff += edges.length
-      (java.util.Arrays.copyOf(postGid.a, postGid.n), java.util.Arrays.copyOf(edgeOff.a, edgeOff.n), edges)
+      val postGid = new Array[Int](postOff(numLabels))
+      val edgeOff = new Array[Int](postOff(numLabels) + 1)
+      var p = 0
+      f = 0
+      while (f < numLabels) {
+        var k = start(f)
+        while (k < start(f + 1)) {
+          if (startsPosting(f, k)) { postGid(p) = gids(k); edgeOff(p) = k; p += 1 }
+          k += 1
+        }
+        f += 1
+      }
+      edgeOff(p) = edges.length
+      (postGid, edgeOff, edges)
     }
 
-    /** `rep(f)`: the smallest label id whose postings equal `f`'s. Postings
-      * are bucketed by a hash and confirmed equal element by element.
+    /** `rep(f)`: the smallest label id whose postings equal `f`'s. Labels are
+      * chained in hash buckets of their postings and confirmed equal element
+      * by element.
       */
     def representatives(): Array[Int] = {
-      val rep     = new Array[Int](numLabels)
-      val buckets = mutable.HashMap.empty[Int, List[Int]]
-      for (f <- 0 until numLabels) {
-        val h     = hash(f)
-        val known = buckets.getOrElse(h, Nil)
-        known.find(samePostings(_, f)) match {
-          case Some(r) => rep(f) = r
-          case None    => rep(f) = f; buckets(h) = f :: known
+      val rep    = new Array[Int](numLabels)
+      val hashes = new Array[Int](numLabels)
+      val chain  = new Array[Int](numLabels) // the next representative in the bucket, or -1
+      val mask   = Integer.highestOneBit(math.max(1, 2 * numLabels)) - 1
+      val bucket = Array.fill(mask + 1)(-1)
+      var f = 0
+      while (f < numLabels) {
+        val h = hash(f)
+        var r = bucket(h & mask)
+        while (r >= 0 && !(hashes(r) == h && samePostings(r, f))) r = chain(r)
+        if (r >= 0) rep(f) = r
+        else {
+          rep(f) = f; hashes(f) = h
+          chain(f) = bucket(h & mask); bucket(h & mask) = f
         }
+        f += 1
       }
       rep
     }
 
     private def hash(f: Int): Int = {
       var h = 0
-      for (p <- postOff(f) until postOff(f + 1)) {
+      var p = postOff(f)
+      while (p < postOff(f + 1)) {
         h = 31 * h + postGid(p)
-        for (k <- edgeOff(p) until edgeOff(p + 1)) h = 31 * h + edges(k)
+        var k = edgeOff(p)
+        while (k < edgeOff(p + 1)) { h = 31 * h + edges(k); k += 1 }
         h = 31 * h - 1 // posting boundary
+        p += 1
       }
       h
     }
 
     private def samePostings(a: Int, b: Int): Boolean = {
-      val (a0, a1, b0, b1) = (postOff(a), postOff(a + 1), postOff(b), postOff(b + 1))
-      java.util.Arrays.equals(postGid, a0, a1, postGid, b0, b1) &&
-        java.util.Arrays.equals(edges, edgeOff(a0), edgeOff(a1), edges, edgeOff(b0), edgeOff(b1)) &&
-        (0 until a1 - a0).forall(p => edgeOff(a0 + p + 1) - edgeOff(a0 + p) == edgeOff(b0 + p + 1) - edgeOff(b0 + p))
+      val a0 = postOff(a); val a1 = postOff(a + 1); val b0 = postOff(b); val b1 = postOff(b + 1)
+      if (!java.util.Arrays.equals(postGid, a0, a1, postGid, b0, b1) ||
+          !java.util.Arrays.equals(edges, edgeOff(a0), edgeOff(a1), edges, edgeOff(b0), edgeOff(b1))) return false
+      var p = 0
+      while (p < a1 - a0) {
+        if (edgeOff(a0 + p + 1) - edgeOff(a0 + p) != edgeOff(b0 + p + 1) - edgeOff(b0 + p)) return false
+        p += 1
+      }
+      true
     }
   }
 
@@ -364,22 +415,7 @@ object Pivot {
       val inG  = bufGids(depth)
       val inM  = bufMasks(depth)
       val m    = ellSize(depth)
-      val outG = bufGids(depth + 1)
-      val outM = bufMasks(depth + 1)
-      var o = 0
-
-      @inline def emit(ga: Int, mask: Long, p: Int): Unit = {
-        var acc = 0L
-        var k   = index.edgeOff(p)
-        val end = index.edgeOff(p + 1)
-        while (k < end) {
-          val e2 = index.edges(k)
-          if (((mask >>> (e2 >>> 8)) & 1L) != 0L) acc |= 1L << (e2 & 0xff)
-          k += 1
-        }
-        if (acc != 0L) { outG(o) = ga; outM(o) = acc; o += 1 }
-      }
-
+      outSize = 0
       if (p1 - p0 > 8 * m) {
         // postings much larger than ℓ (TransAgg pools): binary-search
         // each live graph instead of walking the whole postings array
@@ -387,7 +423,7 @@ object Pivot {
         while (a < m) {
           val ga = inG(a)
           val b  = java.util.Arrays.binarySearch(pGid, p0, p1, ga)
-          if (b >= 0) emit(ga, inM(a), b)
+          if (b >= 0) emit(depth, ga, inM(a), b)
           a += 1
         }
       } else {
@@ -396,11 +432,31 @@ object Pivot {
           val ga = inG(a); val gb = pGid(b)
           if (ga < gb) a += 1
           else if (ga > gb) b += 1
-          else { emit(ga, inM(a), b); a += 1; b += 1 }
+          else { emit(depth, ga, inM(a), b); a += 1; b += 1 }
         }
       }
-      ellSize(depth + 1) = o
-      o
+      ellSize(depth + 1) = outSize
+      outSize
+    }
+
+    /** Entries of ℓ at depth+1 written so far by `emit`. */
+    private var outSize = 0
+
+    /** Appends graph `ga` to ℓ at depth+1 with the nodes that posting `p`'s
+      * edges reach from the nodes in `mask`, if any.
+      */
+    private def emit(depth: Int, ga: Int, mask: Long, p: Int): Unit = {
+      var acc = 0L
+      var k   = index.edgeOff(p)
+      val end = index.edgeOff(p + 1)
+      while (k < end) {
+        val e2 = index.edges(k)
+        if (((mask >>> (e2 >>> 8)) & 1L) != 0L) acc |= 1L << (e2 & 0xff)
+        k += 1
+      }
+      if (acc != 0L) {
+        bufGids(depth + 1)(outSize) = ga; bufMasks(depth + 1)(outSize) = acc; outSize += 1
+      }
     }
   }
 }
