@@ -10,7 +10,8 @@ import scala.collection.mutable
   * rebuilt from the current value pairs after every change, so newly
   * generated rules that fall into an already-approved group are applied
   * directly. Only decisions that adopt such rules consult the initial
-  * catalog's keys, and `applyAll` ships those keys only when one does.
+  * catalog's keys, and `applyAll` builds and ships those keys only when one
+  * does.
   */
 object Applier {
 
@@ -126,10 +127,11 @@ object Applier {
     * `defaultParallelism` partitions (`Clusters.perCluster`), so the apply
     * tasks and every later read of the (typically cached) table run one task
     * per core. `clusters` has columns (cluster LONG, recordId LONG, value
-    * STRING).
+    * STRING). `initialKeys` (`keyString`s) is evaluated only if a decision
+    * adopts.
     */
   def applyAll(spark: SparkSession, clusters: DataFrame,
-               decisions: Seq[Decision], initialKeys: Set[String]): DataFrame = {
+               decisions: Seq[Decision], initialKeys: => Set[String]): DataFrame = {
     import spark.implicits._
     val bcDecisions = spark.sparkContext.broadcast(decisions.toVector)
     // Only adopting decisions read the initial keys.

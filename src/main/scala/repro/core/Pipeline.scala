@@ -48,11 +48,8 @@ object Pipeline {
   def applyBudget(spark: SparkSession, prepared: Prepared, judge: RuleJudge,
                   budget: Int, cfg: PipelineConfig): PipelineResult = {
     val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, judge, budget, cfg.agg)
-    // Only adopting decisions read the initial keys (`Applier.applyCluster`).
-    val initialKeys =
-      if (decisions.exists(_.adopts)) prepared.catalog.keysIterator.map(Applier.keyString).toSet
-      else Set.empty[String]
-    val updated = Applier.applyAll(spark, prepared.clusters, decisions, initialKeys).cache()
+    val updated = Applier.applyAll(spark, prepared.clusters, decisions,
+      prepared.catalog.keysIterator.map(Applier.keyString).toSet).cache()
     PipelineResult(updated, prepared, decisions)
   }
 

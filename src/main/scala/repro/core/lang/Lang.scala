@@ -47,6 +47,15 @@ object Term {
       }
       out.result()
   }
+
+  /** The `[begin, end)` span of the k-th match of `t` in `s`, if any; `k < 0`
+    * counts matches from the back (`m + 1 + k`).
+    */
+  def kth(t: Term, k: Int, s: String): Option[(Int, Int)] = {
+    val ms  = matches(t, s)
+    val idx = if (k > 0) k else ms.length + 1 + k
+    if (k == 0 || idx < 1 || idx > ms.length) None else Some(ms(idx - 1))
+  }
 }
 
 /** Position functions (Section 4.1). Both return a 1-based position in the
@@ -73,11 +82,7 @@ object Pos {
       else if (k < 0 && s.length + 1 + k >= 1) Some(s.length + 1 + k)
       else None
     case MatchPos(t, k, dir) =>
-      val ms = Term.matches(t, s)
-      val m  = ms.length
-      val idx = if (k > 0) k else m + 1 + k
-      if (k == 0 || idx < 1 || idx > m) None
-      else Some(if (dir == 'B') ms(idx - 1)._1 else ms(idx - 1)._2)
+      Term.kth(t, k, s).map { case (b, e) => if (dir == 'B') b else e }
   }
 
   /** Static-order rank of position functions (Appendix B): regex MatchPos,
@@ -110,14 +115,9 @@ final case class SuffixF(t: Term, k: Int) extends Label { def key = s"SUF(${t.ke
 
 object Label {
 
-  /** The k-th (possibly backward-indexed) match of `t` in `s`, if any. */
-  private def kthMatch(t: Term, k: Int, s: String): Option[String] = {
-    val ms  = Term.matches(t, s)
-    val m   = ms.length
-    val idx = if (k > 0) k else m + 1 + k
-    if (k == 0 || idx < 1 || idx > m) None
-    else Some(s.substring(ms(idx - 1)._1 - 1, ms(idx - 1)._2 - 1))
-  }
+  /** The text of the k-th (possibly backward-indexed) match of `t` in `s`. */
+  private def kthMatch(t: Term, k: Int, s: String): Option[String] =
+    Term.kth(t, k, s).map { case (b, e) => s.substring(b - 1, e - 1) }
 
   /** The single output of a deterministic label, if defined. */
   def evalDeterministic(label: Label, s: String): Option[String] = label match {
@@ -180,15 +180,15 @@ object Label {
   * (DESIGN.md §6): each distinct string, position function and label gets
   * an integer id, with its key and static rank computed once.
   *
-  * While graphs are built a label is a packed `Long` code, and `before`
-  * compares codes in the Appendix-B static order `(staticRank, key)`
-  * without building keys. SubStr and affix codes are built so that, within
-  * a static rank, their numeric order is their key order: a SubStr code
-  * holds the key ranks of its two positions (`orderPositions`), an affix
-  * code the rank of its term's key and an image of `k`'s digits. A
-  * `ConstantStr` code holds a string id; `number` ranks the strings by key
-  * once. `number` then gives the labels that survived the per-edge caps
-  * dense ids in static order, so it is int order everywhere downstream.
+  * While graphs are built a label is a packed `Long` code whose top bits
+  * hold its static rank, and `before` compares codes in the Appendix-B
+  * static order `(staticRank, key)` without building keys. Within a rank,
+  * SubStr and affix codes order as their keys: a SubStr code holds the key
+  * ranks of its two positions (`orderPositions`), an affix code the rank of
+  * its key among all affix labels (`LangDict.affixLabels`). A `ConstantStr`
+  * code holds a string id; `number` ranks the strings by key once. `number`
+  * then gives the labels that survived the per-edge caps dense ids in
+  * static order, so it is int order everywhere downstream.
   */
 final class LangDict {
   import LangDict._
@@ -219,7 +219,6 @@ final class LangDict {
 
   private var posOrder: Array[Int] = Array.emptyIntArray // id -> rank of its key
   private var byKey: Array[Int]    = Array.emptyIntArray // rank of a key -> id
-  private var keyRanks: Array[Int] = Array.emptyIntArray // rank of a key -> Pos.rank
   private var posKeysPrefixFree    = false
 
   /** Rank the position keys; call after the last position is interned and
@@ -229,7 +228,6 @@ final class LangDict {
     byKey = Array.range(0, posObjs.length).sortBy(posObjs(_).key)
     posOrder = new Array[Int](byKey.length)
     for (k <- byKey.indices) posOrder(byKey(k)) = k
-    keyRanks = byKey.map(posRanks(_))
     // a key that prefixes another also prefixes its successor in key order
     posKeysPrefixFree = (1 until byKey.length).forall(k => !posObjs(byKey(k)).key.startsWith(posObjs(byKey(k - 1)).key))
   }
@@ -252,24 +250,20 @@ final class LangDict {
     }
   }
 
-  // Label codes: the kind in bits 60-61; then the key ranks of the two
-  // positions, the term's key rank and the image of k, or a string id.
-  def subStr(l: Int, r: Int): Long    = (SubStrKind << 60) | (posOrder(l).toLong << 30) | posOrder(r)
-  def prefix(term: Int, k: Int): Long = (PrefixKind << 60) | affix(term, k)
-  def suffix(term: Int, k: Int): Long = (SuffixKind << 60) | affix(term, k)
-  def constant(x: String): Long       = (ConstKind << 60) | strId(x)
+  // Label codes: the static rank in bits 60-62; then the key ranks of the
+  // two positions, the affix key rank, or a string id.
+  def subStr(l: Int, r: Int): Long =
+    (Label.subStrRank(posRanks(l), posRanks(r)).toLong << 60) | (posOrder(l).toLong << 30) | posOrder(r)
+  def prefix(term: Int, k: Int): Long = affix(0, term, k)
+  def suffix(term: Int, k: Int): Long = affix(1, term, k)
+  def constant(x: String): Long       = (4L << 60) | strId(x)
 
-  def rankOf(code: Long): Int = code >>> 60 match {
-    case SubStrKind => Label.subStrRank(keyRanks((code >>> 30).toInt & Mask30), keyRanks(code.toInt & Mask30))
-    case ConstKind  => 4
-    case _          => 1
-  }
+  def rankOf(code: Long): Int = (code >>> 60).toInt
 
-  private def labelOf(code: Long): Label = code >>> 60 match {
-    case SubStrKind => SubStrF(pos(byKey((code >>> 30).toInt & Mask30)), pos(byKey(code.toInt & Mask30)))
-    case PrefixKind => PrefixF(affixTerm(code), affixK(code))
-    case SuffixKind => SuffixF(affixTerm(code), affixK(code))
-    case _          => ConstantStr(strs(code.toInt))
+  private def labelOf(code: Long): Label = rankOf(code) match {
+    case 1 => affixLabels(code.toInt)
+    case 4 => ConstantStr(strs(code.toInt))
+    case _ => SubStrF(pos(byKey((code >>> 30).toInt & Mask30)), pos(byKey(code.toInt & Mask30)))
   }
 
   /** Static order of label codes: `(staticRank, key)`, then the code.
@@ -309,34 +303,15 @@ final class LangDict {
     for (k <- strsByKey.indices) { strByKey(k) = strIds(strsByKey(k)); strOrder(strByKey(k)) = k }
     codes = ids.keys
     if (posKeysPrefixFree) {
-      // the static order is the order of these unique keys
-      for (k <- codes.indices) codes(k) = orderKey(codes(k))
+      // the static order is the numeric order of the codes, once each
+      // ConstantStr code holds its key's rank instead of its string id
+      for (k <- codes.indices) if (rankOf(codes(k)) == 4) codes(k) = (4L << 60) | strOrder(codes(k).toInt)
       java.util.Arrays.sort(codes)
-      for (k <- codes.indices) codes(k) = codeOf(codes(k))
+      for (k <- codes.indices) if (rankOf(codes(k)) == 4) codes(k) = (4L << 60) | strByKey(codes(k).toInt)
     } else codes = codes.sortWith(before)
     for (id <- codes.indices) ids.put(codes(id), id)
     labels = new Array[Label](codes.length)
     ids
-  }
-
-  /** The static order of a code as a number, while position keys are
-    * prefix-free: the static rank in bits 60-62, then the code's order
-    * within the rank.
-    */
-  private def orderKey(code: Long): Long = {
-    val within = code >>> 60 match {
-      case SubStrKind => code
-      case ConstKind  => strOrder(code.toInt).toLong
-      case kind       => ((kind - PrefixKind) << 50) | (code & AffixBits)
-    }
-    (rankOf(code).toLong << 60) | within
-  }
-
-  /** The code of an `orderKey`. */
-  private def codeOf(key: Long): Long = key >>> 60 match {
-    case 4L => (ConstKind << 60) | strByKey(key.toInt)
-    case 1L => ((PrefixKind + ((key >>> 50) & 1)) << 60) | (key & AffixBits)
-    case _ => key & ((1L << 60) - 1)
   }
 
   def numLabels: Int = codes.length
@@ -349,14 +324,36 @@ final class LangDict {
 }
 
 object LangDict {
-  private final val SubStrKind = 0L
-  private final val PrefixKind = 1L
-  private final val SuffixKind = 2L
-  private final val ConstKind  = 3L
-  private final val Mask30     = (1 << 30) - 1
-  private final val AffixBits  = (1L << 50) - 1
-  private val RegexTerms       = Term.regexTerms.toArray
-  private val TermKeyRank      = RegexTerms.map(t => RegexTerms.map(_.key).sorted.indexOf(t.key))
+  private final val Mask30 = (1 << 30) - 1
+  private val RegexTerms   = Term.regexTerms.toArray
+
+  /** The largest `|k|` of an affix label. A side of at most `maxSideLen`
+    * characters has at most that many matches of a term, and the pivot
+    * search's reachability bitmask caps `maxSideLen` at 62.
+    */
+  final val MaxAffixK = 62
+  require(GraphConfig().maxSideLen <= MaxAffixK)
+
+  private def affixSlot(suffix: Int, term: Int, k: Int): Int =
+    ((suffix * RegexTerms.length + term) * (2 * MaxAffixK + 1)) + k + MaxAffixK
+
+  /** Every affix label in key order (so `PrefixF` before `SuffixF`), and the
+    * rank of each `(suffix, term, k)` by `affixSlot`.
+    */
+  private val (affixLabels, affixRanks) = {
+    val all = for (suffix <- 0 to 1; term <- RegexTerms.indices; k <- -MaxAffixK to MaxAffixK if k != 0)
+      yield affixSlot(suffix, term, k) ->
+        (if (suffix == 0) PrefixF(RegexTerms(term), k) else SuffixF(RegexTerms(term), k))
+    val byKey = all.sortBy(_._2.key)
+    val ranks = new Array[Int](2 * RegexTerms.length * (2 * MaxAffixK + 1))
+    for (((slot, _), rank) <- byKey.zipWithIndex) ranks(slot) = rank
+    (byKey.map(_._2: Label).toArray, ranks)
+  }
+
+  private def affix(suffix: Int, term: Int, k: Int): Long = {
+    require(k != 0 && math.abs(k) <= MaxAffixK, s"affix label k = $k, past ±$MaxAffixK")
+    (1L << 60) | affixRanks(affixSlot(suffix, term, k))
+  }
 
   /** Orders strings `x` as their keys `CS(x)`, i.e. as `x + ")"`: so
     * `a!` sorts before `a`, which sorts before `a)`.
@@ -370,33 +367,6 @@ object LangDict {
     else if (x.length < y.length) { val c = ')' - y.charAt(i); if (c != 0) c else -1 }
     else { val c = x.charAt(i) - ')'; if (c != 0) c else 1 }
   }
-
-  /** The low bits of an affix code, which order like the rest of its key
-    * `PRE(term,k)` or `SUF(term,k)` after the kind: the rank of the term's
-    * key (all are two characters) in bits 48-49, then the characters of
-    * `k + ")"`, one hex digit each (`)` < `-` < `0`..`9`), from bit 44 down.
-    */
-  private def affix(term: Int, k: Int): Long = {
-    var acc = TermKeyRank(term).toLong << 48
-    var at  = 44 // bit offset of the next character
-    if (k < 0) { acc |= 2L << at; at -= 4 }
-    val v = math.abs(k.toLong)
-    var p = 1L
-    while (p * 10 <= v) p *= 10
-    while (p > 0) { acc |= (3 + v / p % 10) << at; at -= 4; p /= 10 }
-    acc | (1L << at)
-  }
-
-  private def affixTerm(code: Long): Term = RegexTerms(TermKeyRank.indexOf((code >>> 48).toInt & 3))
-
-  private def affixK(code: Long): Int = {
-    var at = 44
-    val negative = ((code >>> at) & 15) == 2
-    if (negative) at -= 4
-    var v = 0L
-    while (((code >>> at) & 15) != 1) { v = 10 * v + ((code >>> at) & 15) - 3; at -= 4 }
-    (if (negative) -v else v).toInt
-  }
 }
 
 /** An open-addressing `Long -> Int` map for non-negative values, sized for
@@ -409,23 +379,20 @@ private[lang] final class LongIntMap(expected: Int = 8) {
   private var vs   = Array.fill(ks.length)(-1)
   private var size = 0
 
-  private def slot(k: Long, mask: Int): Int = {
-    val h = k * 0x9e3779b97f4a7c15L
-    (h ^ (h >>> 32)).toInt & mask
+  /** The slot holding `k`, or the free slot where it would go. */
+  private def probe(k: Long): Int = {
+    val mask = vs.length - 1
+    val h    = k * 0x9e3779b97f4a7c15L
+    var i    = (h ^ (h >>> 32)).toInt & mask
+    while (vs(i) >= 0 && ks(i) != k) i = (i + 1) & mask
+    i
   }
 
-  def get(k: Long): Int = {
-    val mask = vs.length - 1
-    var i    = slot(k, mask)
-    while (vs(i) >= 0 && ks(i) != k) i = (i + 1) & mask
-    vs(i)
-  }
+  def get(k: Long): Int = vs(probe(k))
 
   def putIfAbsent(k: Long, v: Int): Unit = {
     if (2 * (size + 1) > vs.length) grow()
-    val mask = vs.length - 1
-    var i    = slot(k, mask)
-    while (vs(i) >= 0 && ks(i) != k) i = (i + 1) & mask
+    val i = probe(k)
     if (vs(i) < 0) { size += 1; ks(i) = k; vs(i) = v }
   }
 
@@ -439,9 +406,7 @@ private[lang] final class LongIntMap(expected: Int = 8) {
 
   def put(k: Long, v: Int): Unit = {
     if (2 * (size + 1) > vs.length) grow()
-    val mask = vs.length - 1
-    var i    = slot(k, mask)
-    while (vs(i) >= 0 && ks(i) != k) i = (i + 1) & mask
+    val i = probe(k)
     if (vs(i) < 0) size += 1
     ks(i) = k; vs(i) = v
   }

@@ -72,6 +72,22 @@ object ConsolidationGen {
     if (u < 0.45) 0 else if (u < 0.75) 1 % n else if (u < 0.9) 2 % n else r.nextInt(n)
   }
 
+  /** The `size` records of cluster `cid`: `nEntities` entities each get
+    * their variants from `variants` under their own generator, then each
+    * record draws its entity and its variant from `r`.
+    */
+  private def drawRecords(cid: Long, seed: Long, r: Random, size: Int, nEntities: Int)
+                         (variants: Random => Vector[String]): Seq[GenRecord] = {
+    val entities = Vector.tabulate(nEntities) { slot =>
+      val eid = cid * 4096 + slot
+      (eid, variants(rng(seed + 1, eid)))
+    }
+    Vector.tabulate(size) { i =>
+      val (eid, vs) = entities(r.nextInt(nEntities))
+      GenRecord(cid, cid * 4096 + i, vs(skewedIndex(r, vs.length)), eid)
+    }
+  }
+
   // ----------------------------------------------------------------------
   // AUTHORLIST — 1,265 clusters, 33,971 rows, avg 26.85 at sf = 1.0
   // ----------------------------------------------------------------------
@@ -85,30 +101,20 @@ object ConsolidationGen {
   private[data] def authorCluster(cid: Long, seed: Long): Seq[GenRecord] = {
     val r    = rng(seed, cid)
     val size = math.max(1, math.min(159, math.round(math.exp(r.nextGaussian() * 1.1 + 2.7)).toInt))
-    val nEntities = math.max(1, math.min(size, 1 + poisson(r, 2.8)))
-    val entities  = Vector.tabulate(nEntities) { slot =>
-      val eid = cid * 4096 + slot
-      val er  = rng(seed + 1, eid)
-      val nAuthors = {
-        val u = er.nextDouble()
-        if (u < 0.45) 1 else if (u < 0.75) 2 else if (u < 0.9) 3 else 4
-      }
-      val authors = Vector.fill(nAuthors)(
-        (pick(er, FirstNames), ('a' + er.nextInt(26)).toChar.toString, pick(er, LastNames)))
-      val variants = authorVariants(er, authors)
-      (eid, variants)
-    }
-    Vector.tabulate(size) { i =>
-      val (eid, variants) = entities(r.nextInt(nEntities))
-      GenRecord(cid, cid * 4096 + i, variants(skewedIndex(r, variants.length)), eid)
-    }
+    drawRecords(cid, seed, r, size, math.max(1, math.min(size, 1 + poisson(r, 2.8))))(authorVariants)
   }
 
-  /** A pool of 3–4 format variants of one author list: natural order,
-    * inverted `last, first`, separator changes, `(author)` annotations,
-    * middle initials kept or dropped — the Table 8 phenomena.
+  /** A pool of 3–4 format variants of one list of 1–4 authors: natural
+    * order, inverted `last, first`, separator changes, `(author)`
+    * annotations, middle initials kept or dropped — the Table 8 phenomena.
     */
-  private def authorVariants(r: Random, authors: Vector[(String, String, String)]): Vector[String] = {
+  private def authorVariants(r: Random): Vector[String] = {
+    val nAuthors = {
+      val u = r.nextDouble()
+      if (u < 0.45) 1 else if (u < 0.75) 2 else if (u < 0.9) 3 else 4
+    }
+    val authors = Vector.fill(nAuthors)(
+      (pick(r, FirstNames), ('a' + r.nextInt(26)).toChar.toString, pick(r, LastNames)))
     def natural(mid: Boolean, sep: String) =
       authors.map { case (f, m, l) => if (mid) s"$f $m $l" else s"$f $l" }.mkString(sep)
     def inverted(mid: Boolean, sep: String) =
@@ -147,16 +153,7 @@ object ConsolidationGen {
       else if (u < 0.995) 4
       else 5 + r.nextInt(30)
     }
-    val nEntities = if (size >= 2 && r.nextDouble() < 0.22) 2 else 1
-    val entities = Vector.tabulate(nEntities) { slot =>
-      val eid = cid * 4096 + slot
-      val er  = rng(seed + 1, eid)
-      (eid, journalVariants(er))
-    }
-    Vector.tabulate(size) { i =>
-      val (eid, variants) = entities(r.nextInt(nEntities))
-      GenRecord(cid, cid * 4096 + i, variants(skewedIndex(r, variants.length)), eid)
-    }
+    drawRecords(cid, seed, r, size, if (size >= 2 && r.nextDouble() < 0.22) 2 else 1)(journalVariants)
   }
 
   private def journalVariants(r: Random): Vector[String] = {
@@ -200,16 +197,7 @@ object ConsolidationGen {
   private[data] def addressCluster(cid: Long, seed: Long): Seq[GenRecord] = {
     val r    = rng(seed, cid)
     val size = math.max(1, math.min(300, math.round(math.exp(r.nextGaussian() * 0.9 + 1.35)).toInt))
-    val nEntities = math.max(1, math.min(size, 1 + poisson(r, 4.2)))
-    val entities = Vector.tabulate(nEntities) { slot =>
-      val eid = cid * 4096 + slot
-      val er  = rng(seed + 1, eid)
-      (eid, addressVariants(er))
-    }
-    Vector.tabulate(size) { i =>
-      val (eid, variants) = entities(r.nextInt(nEntities))
-      GenRecord(cid, cid * 4096 + i, variants(skewedIndex(r, variants.length)), eid)
-    }
+    drawRecords(cid, seed, r, size, math.max(1, math.min(size, 1 + poisson(r, 4.2))))(addressVariants)
   }
 
   /** Variants of one address. Entities draw from several *format families*
@@ -274,7 +262,8 @@ object ConsolidationGen {
 
   /** A fixed random sample of `n` labeled within-cluster record pairs with
     * *distinct* values (the paper's "distinct duplicate pairs"); positive iff
-    * same entity.
+    * same entity. Pairs are drawn by a seeded hash of their record ids, so
+    * the sample does not depend on the partitioning or the core count.
     */
   def samplePairs(spark: SparkSession, records: DataFrame, n: Int): DataFrame = {
     import spark.implicits._
@@ -282,7 +271,7 @@ object ConsolidationGen {
     val pairs = records.as[GenRecord]
       .groupByKey(_.cluster)
       .flatMapGroups { (cid, it) =>
-        val rs = it.toVector
+        val rs = it.toVector.sortBy(_.recordId)
         for {
           i <- rs.indices.iterator
           j <- ((i + 1) until rs.length).iterator
@@ -290,14 +279,16 @@ object ConsolidationGen {
         } yield (cid, rs(i).recordId, rs(j).recordId, rs(i).entityId == rs(j).entityId)
       }
       .toDF("cluster", "rid1", "rid2", "positive")
-    pairs.orderBy(rand(23)).limit(n)
+    pairs.orderBy(hash(lit(23), $"rid1", $"rid2"), $"rid1", $"rid2").limit(n)
   }
 
-  /** A fixed random sample of `n` cluster ids (the Table 5 ground-truth set). */
+  /** A fixed random sample of `n` cluster ids (the Table 5 ground-truth set),
+    * drawn by a seeded hash of the ids like `samplePairs`.
+    */
   def sampleClusters(spark: SparkSession, records: DataFrame, n: Int): Seq[Long] = {
     import spark.implicits._
     import org.apache.spark.sql.functions._
-    records.select("cluster").distinct().orderBy(rand(29)).limit(n)
+    records.select("cluster").distinct().orderBy(hash(lit(29), $"cluster"), $"cluster").limit(n)
       .select($"cluster".as[Long]).collect().toSeq
   }
 }

@@ -7,8 +7,8 @@ import repro.core.lang.{GraphConfig, PivotConfig}
 import repro.data.{ConsolidationGen, DictJudge, Judges}
 
 /** The reproduction experiments behind every evaluation table (Section 7).
-  * Shared by the bench suites (`bench/`) and the spark-submit entrypoints
-  * (`jobs/`); each function returns the formatted table it reproduces.
+  * Run by the bench suites (`bench/`); each function returns the formatted
+  * table it reproduces.
   */
 object Experiments {
 
@@ -156,7 +156,7 @@ object Experiments {
         spec.judge, spec.pipelineConfig())
       val updated = res.updated.join(records.select(col("recordId"), col("entityId")), Seq("recordId"))
       after(spec.name) = Metrics.mcPrecision(spark, updated, sample)
-      records.unpersist()
+      res.updated.unpersist(); records.unpersist()
     }
     sb ++= f"${"before"}%-8s" + specs.map(s => f"${before(s.name)}%14.3f").mkString + "\n"
     sb ++= f"${"after"}%-8s" + specs.map(s => f"${after(s.name)}%14.3f").mkString + "\n"

@@ -36,6 +36,14 @@ class LangDictSpec extends AnyFunSuite {
     assertStaticOrder(Seq("a", "a),1,B", "a),-1,E"))
   }
 
+  test("an affix k past the bound is rejected") {
+    val d = new LangDict
+    assert(d.prefix(0, LangDict.MaxAffixK) != d.prefix(0, -LangDict.MaxAffixK))
+    intercept[IllegalArgumentException](d.prefix(0, LangDict.MaxAffixK + 1))
+    intercept[IllegalArgumentException](d.suffix(3, -LangDict.MaxAffixK - 1))
+    intercept[IllegalArgumentException](d.prefix(1, 0))
+  }
+
   test("interning is idempotent") {
     val d = new LangDict
     assert(d.constPos(2) == d.constPos(2))

@@ -121,6 +121,35 @@ class ConsolidationGenSpec extends SparkSpec {
     }
   }
 
+  test("record digests are pinned for each generator at fixed sf and seed") {
+    import spark.implicits._
+    def digest(df: org.apache.spark.sql.DataFrame): String = {
+      val lines = df.as[GenRecord].collect().sortBy(_.recordId)
+        .map(g => s"${g.cluster}\t${g.recordId}\t${g.value}\t${g.entityId}\n")
+      val md = java.security.MessageDigest.getInstance("SHA-256")
+      md.digest(lines.mkString.getBytes("UTF-8")).map(b => f"$b%02x").mkString
+    }
+    assert(digest(author) == "af7fba8b46c4c38eff0669f77cb7303fff88c14f2e378b4808f854d97c4c8e71")
+    assert(digest(journal) == "4cbfd8f41b9e3efa623cce977b56b035e65298480f1a85776d0dbe16723afee2")
+    assert(digest(addr) == "0b03204d2bb3eee6a8d7c74f5c5e03e9ce615ee2f987746dcce28b743417c32b")
+  }
+
+  test("both samples are independent of how the input is partitioned") {
+    import spark.implicits._
+    val records = ConsolidationGen.authorList(spark, 0.05).cache()
+    def samples(parts: Int) = {
+      val df = records.repartition(parts)
+      (ConsolidationGen.sampleClusters(spark, df, 30),
+        ConsolidationGen.samplePairs(spark, df, 800).as[(Long, Long, Long, Boolean)].collect().toVector)
+    }
+    val (c1, p1) = samples(1)
+    val (c7, p7) = samples(7)
+    assert(c1.size == 30 && p1.size == 800)
+    assert(c1 == c7)
+    assert(p1 == p7)
+    records.unpersist()
+  }
+
   test("sampleClusters is deterministic and within range") {
     val s1 = ConsolidationGen.sampleClusters(spark, addr, 20)
     val s2 = ConsolidationGen.sampleClusters(spark, addr, 20)
