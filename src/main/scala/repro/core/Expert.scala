@@ -46,6 +46,7 @@ object Expert {
     */
   def confirmAll(ranked: Seq[RuleGroup], catalog: Map[RuleKey, MatchingRule],
                  judge: RuleJudge, budget: Int, method: AggMethod): (Vector[Decision], Int) = {
+    require(budget >= 0, s"budget must be >= 0, got $budget")
     val shown = ranked.take(budget)
     val decisions = Vector.newBuilder[Decision]
     for ((g, idx) <- shown.zipWithIndex) {

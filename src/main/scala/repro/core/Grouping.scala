@@ -74,21 +74,17 @@ object Grouping {
   }
 
   /** The estimated cost of `Pivot.groupByPrograms` on `pool`: Σ |lhs|·|rhs|²
-    * over the transformations it searches (the distinct ones within
-    * `maxSideLen`, if there are two or more), plus one per transformation.
-    * Over the journal-both structure pools of seeds 1–3 it correlates
-    * 0.96–0.98 with the measured CPU time of each pool; the pool's size
-    * correlates 0.86.
+    * over the distinct transformations it searches (`Pivot.searches`), plus
+    * one per transformation. Over the journal-both structure pools of seeds
+    * 1–3 it correlates 0.96–0.98 with the measured CPU time of each pool; the
+    * pool's size correlates 0.86.
     */
   private[core] def poolCost(pool: Seq[Trans], cfg: GraphConfig): Long = {
     val distinct = pool.distinct
-    val searched =
-      if (distinct.size < 2) 0L
-      else distinct.iterator
-        .filter(tr => tr.lhs.length <= cfg.maxSideLen && tr.rhs.length <= cfg.maxSideLen)
-        .map(tr => tr.lhs.length.toLong * tr.rhs.length * tr.rhs.length)
-        .sum
-    searched + pool.size
+    distinct.iterator
+      .filter(Pivot.searches(_, distinct.size, cfg))
+      .map(tr => tr.lhs.length.toLong * tr.rhs.length * tr.rhs.length)
+      .sum + pool.size
   }
 
   /** Deals `(key, pool, cost)` triples onto `n` slots, longest processing

@@ -42,12 +42,12 @@ object Pipeline {
     Prepared(clusters, catalog, trans, Grouping.rank(groups, catalog))
   }
 
-  /** Step 5: confirm the top-`budget` groups with the simulated expert and
-    * apply the approved ones across all clusters. `updated` is cached.
+  /** Step 5: confirm the top-`cfg.budget` groups with the simulated expert
+    * and apply the approved ones across all clusters. `updated` is cached.
     */
   def applyBudget(spark: SparkSession, prepared: Prepared, judge: RuleJudge,
-                  budget: Int, cfg: PipelineConfig): PipelineResult = {
-    val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, judge, budget, cfg.agg)
+                  cfg: PipelineConfig): PipelineResult = {
+    val (decisions, _) = Expert.confirmAll(prepared.ranked, prepared.catalog, judge, cfg.budget, cfg.agg)
     val updated = Applier.applyAll(spark, prepared.clusters, decisions,
       prepared.catalog.keysIterator.map(Applier.keyString).toSet).cache()
     PipelineResult(updated, prepared, decisions)
@@ -56,6 +56,6 @@ object Pipeline {
   def run(spark: SparkSession, clusters: DataFrame, judge: RuleJudge,
           cfg: PipelineConfig = PipelineConfig()): PipelineResult = {
     val prepared = prepare(spark, clusters, cfg)
-    applyBudget(spark, prepared, judge, cfg.budget, cfg)
+    applyBudget(spark, prepared, judge, cfg)
   }
 }

@@ -20,11 +20,12 @@ object RuleGen {
   }
 
   /** Number of distinct within-cluster value pairs (the "distinct duplicate
-    * pairs" statistic the paper reports per dataset).
+    * pairs" statistic the paper reports per dataset). NULL values take part
+    * in no pair.
     */
   def distinctDuplicatePairs(spark: SparkSession, clusters: DataFrame): Long = {
     import spark.implicits._
-    clusters.select("cluster", "value").distinct()
+    clusters.select("cluster", "value").where($"value".isNotNull).distinct()
       .groupBy("cluster").count()
       .select(($"count" * ($"count" - 1) / 2).as[Double])
       .collect()

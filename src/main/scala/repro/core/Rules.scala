@@ -70,9 +70,8 @@ object Rules {
         out += mk(s1, o1, s2, o2)
       }
     }
-    // Example 2.2: the two whole values also form a candidate rule — but only
-    // when they differ from every gap-derived rule trivially covered above
-    // (mk/merge dedupes by key anyway).
+    // Example 2.2: the two whole values also form a candidate rule, always
+    // added; when a gap rule has the same key, merge unites the two.
     out += mk(
       v1, Occ(cluster, v1, 1, v1.length),
       v2, Occ(cluster, v2, 1, v2.length))

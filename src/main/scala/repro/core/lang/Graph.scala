@@ -26,10 +26,6 @@ final case class GraphConfig(affix: Boolean = true) extends Serializable {
 final case class TGraph(id: Int, s: String, t: String,
                         edges: Map[(Int, Int), Vector[Label]]) {
   def lastNode: Int = t.length + 1
-
-  /** Out-edges of node `i` as (target, labels), farthest target first. */
-  def outEdges(i: Int): Vector[(Int, Vector[Label])] =
-    edges.iterator.collect { case ((`i`, j), ls) => (j, ls) }.toVector.sortBy(-_._1)
 }
 
 /** A transformation graph over the label ids of its pool's [[LangDict]], in
@@ -110,11 +106,14 @@ object GraphBuilder {
     private val firsts = new Firsts(dict, cfg.maxLabelsPerEdge - 1)
     private val occ    = new IntBuf
     private val codes  = new LongBuf
-    // affix labels of the current graph by edge, CSR over i * (|t| + 2) + j
-    private val affEdge  = new IntBuf
-    private val affCode  = new LongBuf
-    private var affOff   = Array.emptyIntArray
-    private var affCodes = Array.emptyLongArray
+    // per regex-term match q of the current lhs (with affix labels on): its
+    // codes Prefix(k), Prefix(k-m-1), Suffix(k), Suffix(k-m-1) at 4q until
+    // 4q + 4, and per node x of t, at q * (|t| + 1) + x - 1, the end of the
+    // edge its Prefix labels from x and the start of the edge its Suffix
+    // labels to x (x itself where there is none)
+    private val affCodes = new LongBuf
+    private val preEnd   = new IntBuf
+    private val sufStart = new IntBuf
     // capped position functions of the current lhs, in static order, and per
     // position the end of its regex (`end0`) and of its MatchPos (`end1`) run
     private var posFns: Array[Array[Int]] = null
@@ -130,9 +129,7 @@ object GraphBuilder {
                           Array(0, 1), Array(dict.constant(t)))
 
       capPositions(positions)
-      affEdge.clear(); affCode.clear()
-      if (cfg.affix) affixLabels(s, t)
-      indexAffixes(last)
+      affixMatches(s, t)
 
       // ConstantStr and SubStr labels for every substring t[i, j), node by
       // node, farthest target first.
@@ -156,8 +153,12 @@ object GraphBuilder {
           firsts.clear()
           subStrs(sub.length, 0)
           if (!firsts.full) {
-            var k = affOff(i * (last + 1) + j)
-            while (k < affOff(i * (last + 1) + j + 1)) { firsts.offer(affCodes(k)); k += 1 }
+            var q = 0
+            while (q < affCodes.n / 4) {
+              if (preEnd(q * last + i - 1) == j) { firsts.offer(affCodes(4 * q)); firsts.offer(affCodes(4 * q + 1)) }
+              if (sufStart(q * last + j - 1) == i) { firsts.offer(affCodes(4 * q + 2)); firsts.offer(affCodes(4 * q + 3)) }
+              q += 1
+            }
           }
           if (!firsts.full) subStrs(sub.length, 2)
           if (!firsts.full) subStrs(sub.length, 3)
@@ -231,55 +232,31 @@ object GraphBuilder {
       }
     }
 
-    /** Affix labels (Definition 6), longest-prefix/suffix-only (Appendix B),
-      * into `affEdge`/`affCode`, the edge (i, j) as i * (|t| + 2) + j.
+    /** The regex-term matches of `s` for the affix labels (Definition 6),
+      * longest-prefix/suffix-only (Appendix B), into `affCodes`, `preEnd`
+      * and `sufStart`; none when affix labels are off.
       */
-    private def affixLabels(s: String, t: String): Unit = {
-      val last = t.length + 1
+    private def affixMatches(s: String, t: String): Unit = {
+      affCodes.clear(); preEnd.clear(); sufStart.clear()
       var ti = 0
-      while (ti < RegexTerms.length) {
+      while (cfg.affix && ti < RegexTerms.length) {
         val ms = Term.matches(RegexTerms(ti), s)
         val m  = ms.length
         var k  = 1
         while (k <= m) {
           val mtext = s.substring(ms(k - 1)._1 - 1, ms(k - 1)._2 - 1)
-          var i = 1
-          while (i <= t.length) {
-            val len = commonPrefixLen(t, i - 1, mtext)
-            if (len >= 1) {
-              affEdge += i * (last + 1) + i + len; affCode += dict.prefix(ti, k)
-              affEdge += i * (last + 1) + i + len; affCode += dict.prefix(ti, k - m - 1)
-            }
-            i += 1
-          }
-          var j = 2
-          while (j <= last) {
-            val len = commonSuffixLen(t, j - 1, mtext)
-            if (len >= 1) {
-              affEdge += (j - len) * (last + 1) + j; affCode += dict.suffix(ti, k)
-              affEdge += (j - len) * (last + 1) + j; affCode += dict.suffix(ti, k - m - 1)
-            }
-            j += 1
+          affCodes += dict.prefix(ti, k); affCodes += dict.prefix(ti, k - m - 1)
+          affCodes += dict.suffix(ti, k); affCodes += dict.suffix(ti, k - m - 1)
+          var x = 1
+          while (x <= t.length + 1) {
+            preEnd += x + commonPrefixLen(t, x - 1, mtext)
+            sufStart += x - commonSuffixLen(t, x - 1, mtext)
+            x += 1
           }
           k += 1
         }
         ti += 1
       }
-    }
-
-    /** Counting sort of the affix labels by edge into `affOff`/`affCodes`. */
-    private def indexAffixes(last: Int): Unit = {
-      val nSlots = (last + 1) * (last + 1)
-      if (affOff.length < nSlots + 1) affOff = new Array[Int](nSlots + 1)
-      java.util.Arrays.fill(affOff, 0, nSlots + 1, 0)
-      var k = 0
-      while (k < affEdge.n) { affOff(affEdge(k) + 1) += 1; k += 1 }
-      var at = 0
-      while (at < nSlots) { affOff(at + 1) += affOff(at); at += 1 }
-      if (affCodes.length < affCode.n) affCodes = new Array[Long](affCode.a.length)
-      val next = java.util.Arrays.copyOf(affOff, nSlots)
-      k = 0
-      while (k < affEdge.n) { affCodes(next(affEdge(k))) = affCode(k); next(affEdge(k)) += 1; k += 1 }
     }
   }
 

@@ -89,14 +89,7 @@ object Pivot {
   def groupByPrograms(pool: Seq[Trans], cfg: PivotConfig,
                       globalConstFreq: Map[String, Int]): Vector[ProgGroup] = {
     val sorted = pool.distinct.sorted(Trans.ByText).toVector
-    // A singleton pool can never merge, and an overlong transformation's
-    // graph carries no label but the whole rhs (node ids past 63 would also
-    // overflow the bitmask below): both get the program that outputs the rhs
-    // as one constant, or the empty program for an empty rhs.
-    val (searchable, fixed) =
-      if (sorted.size == 1) (Vector.empty[Trans], sorted)
-      else sorted.partition(tr =>
-        tr.lhs.length <= cfg.graph.maxSideLen && tr.rhs.length <= cfg.graph.maxSideLen)
+    val (searchable, fixed) = sorted.partition(searches(_, sorted.size, cfg.graph))
     val pivots = searchPivots(searchable, cfg, globalConstFreq) ++ fixed.map { tr =>
       val path = if (tr.rhs.isEmpty) Vector.empty[Label] else Vector[Label](ConstantStr(tr.rhs))
       (PathCheck.pathKey(path), path)
@@ -108,6 +101,16 @@ object Pivot {
       .toVector
       .sortBy(_.pathKey)
   }
+
+  /** Whether `groupByPrograms` searches `tr`, one of the `distinct`
+    * distinct transformations of a pool. A singleton pool can never merge,
+    * and an overlong transformation's graph carries no label but the whole
+    * rhs (node ids past 63 would also overflow the search's bitmask): both
+    * get the program that outputs the rhs as one constant, or the empty
+    * program for an empty rhs.
+    */
+  private[core] def searches(tr: Trans, distinct: Int, cfg: GraphConfig): Boolean =
+    distinct >= 2 && tr.lhs.length <= cfg.maxSideLen && tr.rhs.length <= cfg.maxSideLen
 
   /** The pivot path of each transformation of `searchable`, with its key. */
   private def searchPivots(searchable: Vector[Trans], cfg: PivotConfig,
@@ -138,34 +141,56 @@ object Pivot {
     * edges `(i << 8) | j` there, `edges(edgeOff(p) until edgeOff(p + 1))`,
     * ascending.
     */
-  private final class LabelIndex(graphs: Vector[IntGraph], numLabels: Int) {
+  private[lang] final class LabelIndex(graphs: Vector[IntGraph], numLabels: Int) {
     val postOff = new Array[Int](numLabels + 1)
-    val (postGid, edgeOff, edges) = {
-      // counting sort of the (label, graph, edge) triples by label; graphs and
-      // their edges are visited in ascending order, so each label's run is
-      // sorted by (graph, edge)
-      val start = new Array[Int](numLabels + 1)
-      for (g <- graphs) {
-        var k = 0
-        while (k < g.labs.length) { start(g.labs(k) + 1) += 1; k += 1 }
+    // per label: a hash of its postings; its number of postings and of
+    // edges, then its next free slot in each
+    private val hash     = new Array[Int](numLabels)
+    private val postNext = new Array[Int](numLabels)
+    private val edgeNext = new Array[Int](numLabels)
+    scan(fill = false)
+    private val numEdges = {
+      var e = 0
+      for (f <- 0 until numLabels) {
+        postOff(f + 1) = postOff(f) + postNext(f); postNext(f) = postOff(f)
+        e += edgeNext(f); edgeNext(f) = e - edgeNext(f)
       }
-      var f = 0
-      while (f < numLabels) { start(f + 1) += start(f); f += 1 }
-      val gids  = new Array[Int](start(numLabels))
-      val edges = new Array[Int](start(numLabels))
-      val next  = start.clone()
+      e
+    }
+    val postGid = new Array[Int](postOff(numLabels))
+    val edgeOff = new Array[Int](postGid.length + 1)
+    val edges   = new Array[Int](numEdges)
+    scan(fill = true)
+    edgeOff(postGid.length) = numEdges
+
+    /** Visits every (label, graph, edge) in graph and edge order, advancing the
+      * label's cursors; with `fill`, writes its postings, edges and hash. A
+      * posting starts wherever the label's last-seen graph id changes.
+      */
+    private def scan(fill: Boolean): Unit = {
+      val lastGid = Array.fill(numLabels)(-1)
       var gid = 0
       while (gid < graphs.length) {
         val g = graphs(gid)
         var i = 1
         while (i < g.lastNode) {
+          // out-edges are farthest target first: walk them backwards
           var e = g.nodeOff(i + 1) - 1
           while (e >= g.nodeOff(i)) {
             val packed = (i << 8) | g.target(e)
             var k = g.labOff(e)
             while (k < g.labOff(e + 1)) {
               val f = g.labs(k)
-              gids(next(f)) = gid; edges(next(f)) = packed; next(f) += 1
+              if (lastGid(f) != gid) {
+                lastGid(f) = gid
+                if (fill) {
+                  postGid(postNext(f)) = gid; edgeOff(postNext(f)) = edgeNext(f)
+                  hash(f) = 31 * hash(f) + ~gid
+                }
+                postNext(f) += 1
+              }
+              if (fill) { edges(edgeNext(f)) = packed; hash(f) = 31 * hash(f) + packed }
+              edgeNext(f) += 1
               k += 1
             }
             e -= 1
@@ -174,29 +199,6 @@ object Pivot {
         }
         gid += 1
       }
-      // one posting per run of equal graph ids: count each label's, then fill
-      def startsPosting(f: Int, k: Int): Boolean = k == start(f) || gids(k) != gids(k - 1)
-      f = 0
-      while (f < numLabels) {
-        var k = start(f)
-        while (k < start(f + 1)) { if (startsPosting(f, k)) postOff(f + 1) += 1; k += 1 }
-        postOff(f + 1) += postOff(f)
-        f += 1
-      }
-      val postGid = new Array[Int](postOff(numLabels))
-      val edgeOff = new Array[Int](postOff(numLabels) + 1)
-      var p = 0
-      f = 0
-      while (f < numLabels) {
-        var k = start(f)
-        while (k < start(f + 1)) {
-          if (startsPosting(f, k)) { postGid(p) = gids(k); edgeOff(p) = k; p += 1 }
-          k += 1
-        }
-        f += 1
-      }
-      edgeOff(p) = edges.length
-      (postGid, edgeOff, edges)
     }
 
     /** `rep(f)`: the smallest label id whose postings equal `f`'s. Labels are
@@ -205,7 +207,6 @@ object Pivot {
       */
     def representatives(): Array[Int] = {
       val rep    = new Array[Int](numLabels)
-      val hashes = new Array[Int](numLabels)
       val chain  = new Array[Int](numLabels) // the next representative in the bucket, or -1
       val mask   = Integer.highestOneBit(math.max(1, 2 * numLabels)) - 1
       val bucket = Array.fill(mask + 1)(-1)
@@ -213,28 +214,15 @@ object Pivot {
       while (f < numLabels) {
         val h = hash(f)
         var r = bucket(h & mask)
-        while (r >= 0 && !(hashes(r) == h && samePostings(r, f))) r = chain(r)
+        while (r >= 0 && !(hash(r) == h && samePostings(r, f))) r = chain(r)
         if (r >= 0) rep(f) = r
         else {
-          rep(f) = f; hashes(f) = h
+          rep(f) = f
           chain(f) = bucket(h & mask); bucket(h & mask) = f
         }
         f += 1
       }
       rep
-    }
-
-    private def hash(f: Int): Int = {
-      var h = 0
-      var p = postOff(f)
-      while (p < postOff(f + 1)) {
-        h = 31 * h + postGid(p)
-        var k = edgeOff(p)
-        while (k < edgeOff(p + 1)) { h = 31 * h + edges(k); k += 1 }
-        h = 31 * h - 1 // posting boundary
-        p += 1
-      }
-      h
     }
 
     private def samePostings(a: Int, b: Int): Boolean = {
@@ -294,6 +282,7 @@ object Pivot {
     // per-depth ℓ buffers: parallel (gid, reachable-node bitmask) arrays
     private val bufGids  = Array.ofDim[Int](maxDepth + 1, n)
     private val bufMasks = Array.ofDim[Long](maxDepth + 1, n)
+    java.util.Arrays.fill(bufMasks(0), 2L)
     private val ellSize  = new Array[Int](maxDepth + 1)
     private val pathBuf  = new Array[Int](maxDepth)
 
@@ -323,20 +312,15 @@ object Pivot {
       ops = 0L
 
       // ℓ₀ = the Appendix-B sample plus this graph itself, node 1 reachable
-      var m = 0
-      var inserted = false
-      var si = 0
-      while (si < state.sample.length) {
-        val sg = state.sample(si)
-        if (!inserted && gid < sg) {
-          bufGids(0)(m) = gid; bufMasks(0)(m) = 2L; m += 1; inserted = true
-        }
-        bufGids(0)(m) = sg; bufMasks(0)(m) = 2L; m += 1
-        if (sg == gid) inserted = true
-        si += 1
-      }
-      if (!inserted) { bufGids(0)(m) = gid; bufMasks(0)(m) = 2L; m += 1 }
-      ellSize(0) = m
+      // (the masks of ℓ₀ are all 2L, set once)
+      val sample = state.sample
+      val at     = java.util.Arrays.binarySearch(sample, gid)
+      val ins    = if (at >= 0) at else -at - 1
+      val rest   = if (at >= 0) ins + 1 else ins
+      System.arraycopy(sample, 0, bufGids(0), 0, ins)
+      bufGids(0)(ins) = gid
+      System.arraycopy(sample, rest, bufGids(0), ins + 1, sample.length - rest)
+      ellSize(0) = ins + 1 + sample.length - rest
 
       search(0, 1)
 

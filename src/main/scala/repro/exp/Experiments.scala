@@ -179,7 +179,7 @@ object Experiments {
         val cfg      = spec.pipelineConfig(agg = m)
         val prepared = Pipeline.prepare(spark, vals, cfg)
         for (b <- Seq(10, 25, 50, 100)) {
-          val res = Pipeline.applyBudget(spark, prepared, spec.judge, b, cfg)
+          val res = Pipeline.applyBudget(spark, prepared, spec.judge, cfg.copy(budget = b))
           val c   = Metrics.pairConfusion(spark, res.updated, pairs)
           sb ++= f"${spec.name}%-14s $mname%-10s $b%8d ${c.precision}%7.3f ${c.recall}%7.3f ${c.mcc}%7.3f\n"
           res.updated.unpersist()

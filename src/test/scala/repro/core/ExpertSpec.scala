@@ -72,6 +72,11 @@ class ExpertSpec extends AnyFunSuite {
     assert(decisions.map(_.rank) == Vector(0, 1, 2, 3))
   }
 
+  test("confirmAll rejects a negative budget") {
+    val groups = Vector(RuleGroup("g", None, None, Vector(Trans("aaa1", "aaa"))))
+    intercept[IllegalArgumentException](Expert.confirmAll(groups, Map.empty, SubstringJudge, budget = -1, method = NoAgg))
+  }
+
   test("confirmAll records member directions relative to canonical keys") {
     val g = RuleGroup("g", None, None, Vector(Trans("zz", "aa")))
     val (ds, _) = Expert.confirmAll(Vector(g), Map.empty,

@@ -37,6 +37,16 @@ class PipelineSpec extends SparkSpec {
     assert(golden(2L).isDefined)
   }
 
+  test("applyBudget spends the budget of its config") {
+    import spark.implicits._
+    val clusters = Seq((1L, 1L, "9 st, 02141 wi"), (1L, 2L, "9th st, 02141 wi")).toDF("cluster", "recordId", "value")
+    val prepared = Pipeline.prepare(spark, clusters, cfg())
+    assert(prepared.ranked.nonEmpty)
+    assert(Pipeline.applyBudget(spark, prepared, Judges.address, cfg(budget = 0)).decisions.isEmpty)
+    assert(Pipeline.applyBudget(spark, prepared, Judges.address, cfg()).decisions.nonEmpty)
+    intercept[IllegalArgumentException](Pipeline.applyBudget(spark, prepared, Judges.address, cfg(budget = -1)))
+  }
+
   test("NULL values pass through the pipeline unchanged (DuckDB oracle)") {
     import spark.implicits._
     val clusters = Seq[(Long, Long, String)](

@@ -51,7 +51,8 @@ class RuleGenSpec extends SparkSpec {
 
   test("distinctDuplicatePairs agrees with the DuckDB oracle") {
     val df = clustersDf(
-      (1, 1, "a"), (1, 2, "b"), (1, 3, "c"), (2, 4, "x"), (2, 5, "x"), (3, 6, "z"))
+      (1, 1, "a"), (1, 2, "b"), (1, 3, "c"), (2, 4, "x"), (2, 5, "x"), (3, 6, "z"),
+      (4, 7, "a"), (4, 8, null), (5, 9, "x"), (5, 10, "y"), (5, 11, null), (6, 12, null))
     import spark.implicits._
     val got = Seq(RuleGen.distinctDuplicatePairs(spark, df).toString).toDF("pairs")
     val sql =
