@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Experiments
+import repro.exp.{Experiments, Table}
 
 /** Base for the table benches: shared Spark session, shared bench-scale
   * dataset specs, and a one-time JIT warmup so the first timed grouping is
@@ -16,12 +16,7 @@ trait BenchBase extends SparkSpec {
   /** Print a finished table so `sbt "bench/test" | tee bench_output.txt`
     * captures it verbatim.
     */
-  def report(table: String): Unit = {
-    println()
-    println("=" * 78)
-    println(table)
-    println("=" * 78)
-  }
+  def report(table: Table): Unit = println(Seq("", "=" * 78, table.render, "=" * 78).mkString("\n"))
 }
 
 object BenchBase {

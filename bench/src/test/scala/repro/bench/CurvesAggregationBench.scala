@@ -16,17 +16,15 @@ class CurvesAggregationBench extends BenchBase {
     //  - at the full budget, BothAgg recall beats NoAgg (bulk confirmation),
     //  - NoAgg precision is perfect (rules confirmed one by one),
     //  - BothAgg MCC is competitive with the best of the other methods.
-    val rows = table.linesIterator.drop(2).map(_.trim.split("\\s+")).filter(_.length == 6).toVector
-    def metric(ds: String, m: String, budget: Int, col: Int): Double =
-      rows.find(r => r(0) == ds && r(1) == m && r(2) == budget.toString).get(col).toDouble
     for (spec <- specs) {
-      val noAggRec  = metric(spec.name, "NoAgg", 100, 4)
-      val bothRec   = metric(spec.name, "BothAgg", 100, 4)
-      val noAggPrec = metric(spec.name, "NoAgg", 100, 3)
+      def at100(m: String, metric: String): Double = table(spec.name, m, "100")(metric)
+      val noAggRec  = at100("NoAgg", "Recall")
+      val bothRec   = at100("BothAgg", "Recall")
+      val noAggPrec = at100("NoAgg", "Prec")
       assert(bothRec > noAggRec, s"${spec.name}: BothAgg recall $bothRec <= NoAgg $noAggRec")
       assert(noAggPrec > 0.95, s"${spec.name}: NoAgg precision $noAggPrec")
-      val bothMcc = metric(spec.name, "BothAgg", 100, 5)
-      val others  = Seq("NoAgg", "StructAgg", "TransAgg").map(m => metric(spec.name, m, 100, 5))
+      val bothMcc = at100("BothAgg", "MCC")
+      val others  = Seq("NoAgg", "StructAgg", "TransAgg").map(at100(_, "MCC"))
       assert(bothMcc >= others.max - 0.12,
         s"${spec.name}: BothAgg MCC $bothMcc vs others $others")
     }

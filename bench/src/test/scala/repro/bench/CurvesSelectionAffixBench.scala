@@ -12,14 +12,12 @@ class CurvesSelectionAffixBench extends BenchBase {
     val table = Experiments.curvesSelectionAffix(spark, specs)
     report(table)
 
-    val rows = table.linesIterator.drop(2).map(_.trim.split("\\s+")).filter(_.length == 4).toVector
-    def recall(ds: String, v: String): Double =
-      rows.find(r => r(0) == ds && r(1) == v).get(3).toDouble
     // paper: BestDir highest recall, RevDir lowest; Affix >= NoAffix
-    val totBest = specs.map(s => recall(s.name, "BestDir")).sum
-    val totRev  = specs.map(s => recall(s.name, "RevDir")).sum
-    val totAff  = specs.map(s => recall(s.name, "Affix")).sum
-    val totNoAf = specs.map(s => recall(s.name, "NoAffix")).sum
+    def totalRecall(variant: String): Double = specs.map(s => table(s.name, variant)("Recall")).sum
+    val totBest = totalRecall("BestDir")
+    val totRev  = totalRecall("RevDir")
+    val totAff  = totalRecall("Affix")
+    val totNoAf = totalRecall("NoAffix")
     assert(totBest >= totRev, s"BestDir ($totBest) should beat RevDir ($totRev)")
     assert(totAff >= totNoAf, s"Affix ($totAff) should beat NoAffix ($totNoAf)")
   }

@@ -16,11 +16,8 @@ class PruningBench extends BenchBase {
     report(table)
 
     // paper: AllThrsh fastest, NoThrsh slowest (up to an order of magnitude)
-    val rows = table.linesIterator.drop(2).map(_.trim.split("\\s+")).filter(_.length == 6).toVector
-    val no   = rows.map(_(2).toDouble).sum
-    val loc  = rows.map(_(3).toDouble).sum
-    val glob = rows.map(_(4).toDouble).sum
-    val all  = rows.map(_(5).toDouble).sum
+    val Seq(no, loc, glob, all) = Seq("NoThrsh", "LocalThrsh", "GlobalThrsh", "AllThrsh")
+      .map(c => table.rows.map(r => table(r.labels: _*)(c)).sum)
     assert(all <= no, s"AllThrsh ($all) should not exceed NoThrsh ($no)")
     assert(math.min(loc, glob) <= no * 1.1,
       s"single-threshold variants should not exceed NoThrsh (no=$no loc=$loc glob=$glob)")

@@ -13,22 +13,14 @@ class Table4AggregationTimeBench extends BenchBase {
     // shape assertions against the paper's Table 4:
     //  - NoAgg and StructAgg are (near) free, TransAgg >> BothAgg,
     //  - Affix (= BothAgg default) is faster than NoAffix.
-    val lines = table.linesIterator.toVector
-    def row(m: String): Seq[Double] =
-      lines.find(_.startsWith(m)).get.split("\\s+").drop(1).map(_.toDouble).toSeq
-    val noAgg  = row("NoAgg")
-    val struct = row("StructAgg")
-    val trans  = row("TransAgg")
-    val both   = row("BothAgg")
-    val noAffix = row("NoAffix")
-    val affix   = row("Affix")
-    for (i <- specs.indices) {
-      assert(noAgg(i) <= both(i), s"NoAgg should be cheapest (${specs(i).name})")
-      assert(struct(i) <= both(i), s"StructAgg should be cheaper than BothAgg (${specs(i).name})")
-      assert(trans(i) > both(i), s"TransAgg should exceed BothAgg (${specs(i).name})")
+    for (s <- specs.map(_.name)) {
+      val both = table("BothAgg")(s)
+      assert(table("NoAgg")(s) <= both, s"NoAgg should be cheapest ($s)")
+      assert(table("StructAgg")(s) <= both, s"StructAgg should be cheaper than BothAgg ($s)")
+      assert(table("TransAgg")(s) > both, s"TransAgg should exceed BothAgg ($s)")
     }
     // affix speedup holds in aggregate (the paper: 544s -> 142s on JournalTitle)
-    assert(affix.sum < noAffix.sum * 1.1,
-      s"Affix (${affix.sum}) should not be slower than NoAffix (${noAffix.sum})")
+    val Seq(affix, noAffix) = Seq("Affix", "NoAffix").map(m => specs.map(s => table(m)(s.name)).sum)
+    assert(affix < noAffix * 1.1, s"Affix ($affix) should not be slower than NoAffix ($noAffix)")
   }
 }

@@ -10,16 +10,11 @@ class Table5TruthDiscoveryBench extends BenchBase {
     val table = Experiments.table5(spark, specs)
     report(table)
 
-    val lines = table.linesIterator.toVector
-    def row(tag: String): Seq[Double] =
-      lines.find(_.startsWith(tag)).get.split("\\s+").drop(1).map(_.toDouble).toSeq
-    val before = row("before")
-    val after  = row("after")
-    for (i <- specs.indices)
-      assert(after(i) > before(i),
-        s"${specs(i).name}: MC precision must improve (${before(i)} -> ${after(i)})")
+    for (s <- specs.map(_.name))
+      assert(table("after")(s) > table("before")(s),
+        s"$s: MC precision must improve (${table("before")(s)} -> ${table("after")(s)})")
     // The paper's biggest jump is on JournalTitle (.335 -> .840)
-    val j = specs.indexWhere(_.name == "JournalTitle")
-    assert(after(j) - before(j) > 0.2, s"JournalTitle improvement too small: ${before(j)} -> ${after(j)}")
+    val (before, after) = (table("before")("JournalTitle"), table("after")("JournalTitle"))
+    assert(after - before > 0.2, s"JournalTitle improvement too small: $before -> $after")
   }
 }

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.data.ConsolidationGen
 import repro.exp.Experiments
 
 /** Reproduces Table 6 (dataset details) on the synthetic stand-ins. */
@@ -11,12 +10,12 @@ class Table6DatasetBench extends BenchBase {
     report(table)
 
     // shape assertions against the paper's Table 6 proportions
-    val stats = specs.map(s => s.name -> ConsolidationGen.stats(spark, s.gen(spark, s.sf))).toMap
-    assert(stats("AuthorList").avgSize > stats("Address").avgSize)
-    assert(stats("Address").avgSize > stats("JournalTitle").avgSize)
-    assert(stats("JournalTitle").clusters > stats("Address").clusters)
-    assert(stats("AuthorList").avgSize > 15 && stats("AuthorList").avgSize < 45)
-    assert(stats("JournalTitle").avgSize > 1.4 && stats("JournalTitle").avgSize < 2.4)
-    assert(stats("Address").avgSize > 3.5 && stats("Address").avgSize < 9.0)
+    def avg(ds: String): Double = table(ds)("Avg")
+    assert(avg("AuthorList") > avg("Address"))
+    assert(avg("Address") > avg("JournalTitle"))
+    assert(table("JournalTitle")("#Clusters") > table("Address")("#Clusters"))
+    assert(avg("AuthorList") > 15 && avg("AuthorList") < 45)
+    assert(avg("JournalTitle") > 1.4 && avg("JournalTitle") < 2.4)
+    assert(avg("Address") > 3.5 && avg("Address") < 9.0)
   }
 }

@@ -11,10 +11,7 @@ class Table7SelectionTimeBench extends BenchBase {
     report(table)
 
     // the paper: all four selection methods have similar aggregation time
-    val lines = table.linesIterator.toVector
-    def row(m: String): Seq[Double] =
-      lines.find(_.startsWith(m)).get.split("\\s+").drop(1).map(_.toDouble).toSeq
-    val totals = Seq("RandDir", "LongDir", "RevDir", "BestDir").map(m => row(m).sum)
+    val totals = Seq("RandDir", "LongDir", "RevDir", "BestDir").map(m => specs.map(s => table(m)(s.name)).sum)
     assert(totals.max < totals.min * 8 + 5,
       s"selection methods should have comparable aggregation time, got $totals")
   }

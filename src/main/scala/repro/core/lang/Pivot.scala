@@ -13,10 +13,6 @@ final case class PivotConfig(
     localThreshold: Boolean = true,
     globalThreshold: Boolean = true,
     graph: GraphConfig = GraphConfig(),
-    /** Appendix B: with a very large pool Σ, score candidate paths against a
-      * random sample of Σ instead of all of it. 0 disables sampling.
-      */
-    sampleCap: Int = 96,
     /** Hard cap on (edge, label) expansions per graph search — the same
       * "control its runtime in a reasonable manner" role as θ (Section 4.3),
       * needed because our substrate is JVM-based, not the paper's C++.
@@ -25,7 +21,6 @@ final case class PivotConfig(
     searchBudget: Long = 2500,
 ) extends Serializable {
   require(maxPathLen >= 1, s"maxPathLen must be >= 1, got $maxPathLen")
-  require(sampleCap >= 0, s"sampleCap must be >= 0, got $sampleCap")
   require(searchBudget >= 0, s"searchBudget must be >= 0, got $searchBudget")
 }
 
@@ -46,6 +41,11 @@ final case class ProgGroup(pathKey: String, path: Vector[Label], members: Vector
   * verbatim.
   */
 object Pivot {
+
+  /** Appendix B: with a very large pool Σ, score candidate paths against a
+    * random sample of at most `SampleCap` graphs of Σ instead of all of it.
+    */
+  final val SampleCap = 96
 
   /** Seed of the Appendix-B sample of a pool. */
   private final val SampleSeed = 97L
@@ -121,7 +121,7 @@ object Pivot {
                                            constScoreFn(groupFreq, globalConstFreq))
     val index     = new LabelIndex(built.graphs, built.dict.numLabels)
 
-    val state    = new SearchState(built.graphs, cfg)
+    val state    = new SearchState(built.graphs)
     val searcher = new Searcher(state, built.graphs, index, index.representatives(), cfg)
     for (g <- built.graphs.indices) searcher.searchGraph(g)
 
@@ -242,7 +242,7 @@ object Pivot {
     * of graph ids that candidate paths are scored against. Paths are label
     * ids of the pool's dictionary.
     */
-  private final class SearchState(graphs: Vector[IntGraph], cfg: PivotConfig) {
+  private final class SearchState(graphs: Vector[IntGraph]) {
     val n: Int                      = graphs.length
     val lastNode: Array[Int]        = graphs.map(_.lastNode).toArray
     val bestScore: Array[Int]       = Array.fill(n)(0)
@@ -251,9 +251,9 @@ object Pivot {
       if (graphs(i).t.isEmpty) Array.emptyIntArray else Array(graphs(i).wholeConst)
     }
     val sample: Array[Int] =
-      if (cfg.sampleCap == 0 || n <= cfg.sampleCap) Array.range(0, n)
+      if (n <= SampleCap) Array.range(0, n)
       else new scala.util.Random(SampleSeed).shuffle((0 until n).toVector)
-        .take(cfg.sampleCap).sorted.toArray
+        .take(SampleCap).sorted.toArray
     val maxScore: Int = math.min(n, sample.length + 1) // sample plus the searched graph
   }
 

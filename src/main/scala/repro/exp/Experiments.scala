@@ -1,14 +1,14 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core._
 import repro.core.lang.{GraphConfig, PivotConfig}
 import repro.data.{ConsolidationGen, DictJudge, Judges}
+import repro.exp.Table.{Column, Row}
 
 /** The reproduction experiments behind every evaluation table (Section 7).
-  * Run by the bench suites (`bench/`); each function returns the formatted
-  * table it reproduces.
+  * Run by the bench suites (`bench/`); each function returns the [[Table]]
+  * it reproduces.
   */
 object Experiments {
 
@@ -39,10 +39,11 @@ object Experiments {
     DatasetSpec("JournalTitle", journalSf, ConsolidationGen.journalTitle(_, _), Judges.journalTitle, 4, 200),
   )
 
-  private def timeMs[T](body: => T): (T, Long) = {
+  /** Wall seconds of `body`, in whole milliseconds. */
+  private def seconds(body: => Any): Double = {
     val t0 = System.nanoTime()
-    val r  = body
-    (r, (System.nanoTime() - t0) / 1000000)
+    body
+    (System.nanoTime() - t0) / 1000000 / 1000.0
   }
 
   /** The aggregation methods in the order the tables print them. */
@@ -62,185 +63,143 @@ object Experiments {
     val trans = Selection.select(catalog.keys.toSeq, BestDir)
     Grouping.group(spark, trans, BothAgg, PivotConfig())
     Grouping.group(spark, trans, TransAgg, PivotConfig())
-    ()
   }
 
-  /** Run `body` on the dataset's (cluster, recordId, value) columns, cached
-    * and materialized first.
+  /** Run `body` on `df` cached and materialized first, and release the cache
+    * however `body` ends.
     */
-  private def withValues[T](spark: SparkSession, spec: DatasetSpec)(body: DataFrame => T): T = {
-    val vals = spec.gen(spark, spec.sf).select("cluster", "recordId", "value").cache(); vals.count()
-    try body(vals) finally vals.unpersist()
+  private def cached[T](df: DataFrame)(body: DataFrame => T): T = {
+    df.cache()
+    try { df.count(); body(df) } finally df.unpersist()
   }
 
-  /** A time table: one row per name in `rows`, one column of seconds per
-    * dataset; `times` runs one dataset's measurements, keyed by row name.
+  /** Run `body` on the dataset's cached records and their (cluster, recordId, value) columns. */
+  private def withRecords[T](spark: SparkSession, spec: DatasetSpec)(body: (DataFrame, DataFrame) => T): T =
+    cached(spec.gen(spark, spec.sf))(records => body(records, records.select("cluster", "recordId", "value")))
+
+  /** A table with one column of 3 decimals per dataset and one row per name
+    * in `rows`; `cells` measures one dataset, keyed by row name.
     */
-  private def timeTable(title: String, specs: Seq[DatasetSpec], rows: Seq[String])
-                       (times: DatasetSpec => Map[String, Double]): String = {
-    val bySpec = specs.map(s => s.name -> times(s)).toMap
-    val sb = new StringBuilder
-    sb ++= title + "\n"
-    sb ++= f"${"Method"}%-10s" + specs.map(s => f"${s.name}%14s").mkString + "\n"
-    for (row <- rows)
-      sb ++= f"$row%-10s" + specs.map(s => f"${bySpec(s.name).getOrElse(row, Double.NaN)}%14.3f").mkString + "\n"
-    sb.toString
+  private def perDataset(title: String, labelName: String, specs: Seq[DatasetSpec], rows: Seq[String])
+                        (cells: DatasetSpec => Map[String, Double]): Table = {
+    val bySpec = specs.map(cells)
+    Table(title, Seq(labelName), specs.map(s => Column(s.name, 3)), rows.map(r => Row(Seq(r), bySpec.map(_(r)))))
   }
 
-  // --------------------------------------------------------------------
-  // Table 6: dataset details
-  // --------------------------------------------------------------------
-
-  def table6(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
-    val sb = new StringBuilder
-    sb ++= "Table 6: dataset details (synthetic stand-ins at bench SF)\n"
-    sb ++= f"${"Dataset"}%-14s ${"sf"}%6s ${"#Rows"}%8s ${"#Clusters"}%10s ${"Avg"}%7s ${"Min"}%5s ${"Max"}%6s ${"#DupPairs"}%10s\n"
-    for (spec <- specs) {
-      val st = ConsolidationGen.stats(spark, spec.gen(spark, spec.sf))
-      sb ++= f"${spec.name}%-14s ${spec.sf}%6.3f ${st.rows}%8d ${st.clusters}%10d ${st.avgSize}%7.2f ${st.minSize}%5d ${st.maxSize}%6d ${st.distinctDupPairs}%10d\n"
-    }
-    sb.toString
-  }
-
-  // --------------------------------------------------------------------
-  // Table 4: aggregation time (s) for NoAgg/StructAgg/TransAgg/BothAgg
-  //          plus NoAffix/Affix
-  // --------------------------------------------------------------------
-
-  def table4(spark: SparkSession, specs: Seq[DatasetSpec]): String =
-    timeTable("Table 4: aggregation time (seconds)", specs, Methods.map(_._1) ++ Seq("NoAffix", "Affix")) { spec =>
-      withValues(spark, spec) { vals =>
-        val catalog = RuleGen.generate(spark, vals)
-        val trans   = Selection.select(catalog.keys.toSeq, BestDir)
-        val byMethod = Methods.map { case (mname, m) =>
-          mname -> timeMs(Grouping.group(spark, trans, m, spec.pivotConfig))._2 / 1000.0
-        }.toMap
-        val noAffixCfg = spec.pivotConfig.copy(graph = GraphConfig(affix = false))
-        val noAffix    = timeMs(Grouping.group(spark, trans, BothAgg, noAffixCfg))._2 / 1000.0
-        byMethod + ("NoAffix" -> noAffix) + ("Affix" -> byMethod("BothAgg"))
-      }
-    }
-
-  // --------------------------------------------------------------------
-  // Table 7: aggregation time (s) under each direction-selection method
-  // --------------------------------------------------------------------
-
-  def table7(spark: SparkSession, specs: Seq[DatasetSpec]): String =
-    timeTable("Table 7: aggregation time (seconds) by transformation selection", specs, Dirs.map(_._1)) { spec =>
-      withValues(spark, spec) { vals =>
-        val catalog = RuleGen.generate(spark, vals)
-        Dirs.map { case (dname, d) =>
-          dname -> timeMs {
-            val trans = Selection.select(catalog.keys.toSeq, d)
-            Grouping.group(spark, trans, BothAgg, spec.pivotConfig)
-          }._2 / 1000.0
-        }.toMap
-      }
-    }
-
-  // --------------------------------------------------------------------
-  // Table 5: precision improvement for majority consensus
-  // --------------------------------------------------------------------
-
-  def table5(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
-    val sb = new StringBuilder
-    sb ++= s"Table 5: MC golden-record precision before/after (budget=${PipelineConfig().budget} groups)\n"
-    sb ++= f"${""}%-8s" + specs.map(s => f"${s.name}%14s").mkString + "\n"
-    val before = scala.collection.mutable.LinkedHashMap.empty[String, Double]
-    val after  = scala.collection.mutable.LinkedHashMap.empty[String, Double]
-    for (spec <- specs) {
-      val records = spec.gen(spark, spec.sf).cache(); records.count()
-      val sample  = ConsolidationGen.sampleClusters(spark, records, spec.clusterSample)
-      before(spec.name) = Metrics.mcPrecision(spark, records, sample)
-      val res = Pipeline.run(spark, records.select("cluster", "recordId", "value"),
-        spec.judge, spec.pipelineConfig())
-      val updated = res.updated.join(records.select(col("recordId"), col("entityId")), Seq("recordId"))
-      after(spec.name) = Metrics.mcPrecision(spark, updated, sample)
-      res.updated.unpersist(); records.unpersist()
-    }
-    sb ++= f"${"before"}%-8s" + specs.map(s => f"${before(s.name)}%14.3f").mkString + "\n"
-    sb ++= f"${"after"}%-8s" + specs.map(s => f"${after(s.name)}%14.3f").mkString + "\n"
-    sb.toString
-  }
-
-  // --------------------------------------------------------------------
-  // Figures 3-5 companion: P/R/MCC of merging vs #confirmed groups
-  // --------------------------------------------------------------------
-
-  def curvesAggregation(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
-    val sb = new StringBuilder
-    sb ++= "Figures 3-5 companion: precision/recall/MCC of merging duplicates\n"
-    sb ++= f"${"Dataset"}%-14s ${"Method"}%-10s ${"#Groups"}%8s ${"Prec"}%7s ${"Recall"}%7s ${"MCC"}%7s\n"
-    for (spec <- specs) {
-      val records = spec.gen(spark, spec.sf).cache(); records.count()
-      val vals    = records.select("cluster", "recordId", "value")
-      val pairs   = ConsolidationGen.samplePairs(spark, records, 800).cache(); pairs.count()
-      for ((mname, m) <- Methods) {
-        val cfg      = spec.pipelineConfig(agg = m)
-        val prepared = Pipeline.prepare(spark, vals, cfg)
-        for (b <- Seq(10, 25, 50, 100)) {
-          val res = Pipeline.applyBudget(spark, prepared, spec.judge, cfg.copy(budget = b))
-          val c   = Metrics.pairConfusion(spark, res.updated, pairs)
-          sb ++= f"${spec.name}%-14s $mname%-10s $b%8d ${c.precision}%7.3f ${c.recall}%7.3f ${c.mcc}%7.3f\n"
-          res.updated.unpersist()
+  /** Pair confusion over the dataset's sampled record pairs after confirming
+    * the top `b` groups of one preparation of each of `cfgs`, for each `b` in `budgets`.
+    */
+  private def confusions(spark: SparkSession, spec: DatasetSpec, cfgs: Seq[PipelineConfig],
+                         budgets: Seq[Int]): Seq[Seq[PairConfusion]] =
+    withRecords(spark, spec) { (records, vals) =>
+      cached(ConsolidationGen.samplePairs(spark, records, 800)) { pairs =>
+        cfgs.map { cfg =>
+          val prepared = Pipeline.prepare(spark, vals, cfg)
+          budgets.map { b =>
+            val res = Pipeline.applyBudget(spark, prepared, spec.judge, cfg.copy(budget = b))
+            try Metrics.pairConfusion(spark, res.updated, pairs) finally res.updated.unpersist()
+          }
         }
       }
-      pairs.unpersist(); records.unpersist()
     }
-    sb.toString
-  }
 
-  // --------------------------------------------------------------------
-  // Figures 6 + 8 companion: recall by selection method and affix on/off
-  // --------------------------------------------------------------------
+  /** Table 6: dataset details. */
+  def table6(spark: SparkSession, specs: Seq[DatasetSpec]): Table =
+    Table("Table 6: dataset details (synthetic stand-ins at bench SF)", Seq("Dataset"),
+      Seq(Column("sf", 3), Column("#Rows", 0), Column("#Clusters", 0), Column("Avg", 2),
+        Column("Min", 0), Column("Max", 0), Column("#DupPairs", 0)),
+      specs.map { spec =>
+        val st = withRecords(spark, spec)((records, _) => ConsolidationGen.stats(spark, records))
+        Row(Seq(spec.name), Seq(spec.sf, st.rows.toDouble, st.clusters.toDouble, st.avgSize,
+          st.minSize.toDouble, st.maxSize.toDouble, st.distinctDupPairs.toDouble))
+      })
 
-  def curvesSelectionAffix(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
-    val sb = new StringBuilder
-    sb ++= s"Figures 6 and 8 companion: recall of merging at budget=${PipelineConfig().budget}\n"
-    sb ++= f"${"Dataset"}%-14s ${"Variant"}%-10s ${"Prec"}%7s ${"Recall"}%7s\n"
-    for (spec <- specs) {
-      val records = spec.gen(spark, spec.sf).cache(); records.count()
-      val vals    = records.select("cluster", "recordId", "value")
-      val pairs   = ConsolidationGen.samplePairs(spark, records, 800).cache(); pairs.count()
-      def run(tag: String, cfg: PipelineConfig): Unit = {
-        val res = Pipeline.run(spark, vals, spec.judge, cfg)
-        val c   = Metrics.pairConfusion(spark, res.updated, pairs)
-        sb ++= f"${spec.name}%-14s $tag%-10s ${c.precision}%7.3f ${c.recall}%7.3f\n"
-        res.updated.unpersist()
+  /** Table 4: aggregation time (s) for NoAgg/StructAgg/TransAgg/BothAgg plus NoAffix/Affix. */
+  def table4(spark: SparkSession, specs: Seq[DatasetSpec]): Table =
+    perDataset("Table 4: aggregation time (seconds)", "Method", specs,
+      Methods.map(_._1) ++ Seq("NoAffix", "Affix")) { spec =>
+      withRecords(spark, spec) { (_, vals) =>
+        val catalog = RuleGen.generate(spark, vals)
+        val trans   = Selection.select(catalog.keys.toSeq, BestDir)
+        val byMethod = Methods.map { case (n, m) => n -> seconds(Grouping.group(spark, trans, m, spec.pivotConfig)) }.toMap
+        val noAffixCfg = spec.pivotConfig.copy(graph = GraphConfig(affix = false))
+        byMethod + ("NoAffix" -> seconds(Grouping.group(spark, trans, BothAgg, noAffixCfg))) + ("Affix" -> byMethod("BothAgg"))
       }
-      for ((dname, d) <- Dirs) run(dname, spec.pipelineConfig(dir = d))
-      run("NoAffix", spec.pipelineConfig()
-        .copy(pivot = spec.pivotConfig.copy(graph = GraphConfig(affix = false))))
-      run("Affix", spec.pipelineConfig())
-      pairs.unpersist(); records.unpersist()
     }
-    sb.toString
+
+  /** Table 7: aggregation time (s) under each direction-selection method. */
+  def table7(spark: SparkSession, specs: Seq[DatasetSpec]): Table =
+    perDataset("Table 7: aggregation time (seconds) by transformation selection", "Method", specs,
+      Dirs.map(_._1)) { spec =>
+      withRecords(spark, spec) { (_, vals) =>
+        val catalog = RuleGen.generate(spark, vals)
+        Dirs.map { case (dname, d) =>
+          dname -> seconds(Grouping.group(spark, Selection.select(catalog.keys.toSeq, d), BothAgg, spec.pivotConfig))
+        }.toMap
+      }
+    }
+
+  /** Table 5: precision improvement for majority consensus. */
+  def table5(spark: SparkSession, specs: Seq[DatasetSpec]): Table =
+    perDataset(s"Table 5: MC golden-record precision before/after (budget=${PipelineConfig().budget} groups)",
+      "", specs, Seq("before", "after")) { spec =>
+      withRecords(spark, spec) { (records, vals) =>
+        val sample = ConsolidationGen.sampleClusters(spark, records, spec.clusterSample)
+        val before = Metrics.mcPrecision(spark, records, sample)
+        val res    = Pipeline.run(spark, vals, spec.judge, spec.pipelineConfig())
+        try Map("before" -> before, "after" -> Metrics.mcPrecision(spark,
+          res.updated.join(records.select("recordId", "entityId"), Seq("recordId")), sample))
+        finally res.updated.unpersist()
+      }
+    }
+
+  /** Figures 3-5 companion: P/R/MCC of merging vs #confirmed groups. */
+  def curvesAggregation(spark: SparkSession, specs: Seq[DatasetSpec]): Table = {
+    val budgets = Seq(10, 25, 50, 100)
+    Table("Figures 3-5 companion: precision/recall/MCC of merging duplicates",
+      Seq("Dataset", "Method", "#Groups"), Seq(Column("Prec", 3), Column("Recall", 3), Column("MCC", 3)),
+      specs.flatMap { spec =>
+        val byMethod = confusions(spark, spec, Methods.map(m => spec.pipelineConfig(agg = m._2)), budgets)
+        for (((mname, _), cs) <- Methods.zip(byMethod); (b, c) <- budgets.zip(cs))
+          yield Row(Seq(spec.name, mname, b.toString), Seq(c.precision, c.recall, c.mcc))
+      })
   }
 
-  // --------------------------------------------------------------------
-  // Figure 7 companion: pruning-technique aggregation times
-  // --------------------------------------------------------------------
+  /** Figures 6 + 8 companion: recall by selection method and affix on/off.
+    * The `Affix` row's configuration is the `BestDir` row's default one, so
+    * it is run once and printed under both names.
+    */
+  def curvesSelectionAffix(spark: SparkSession, specs: Seq[DatasetSpec]): Table = {
+    val budget = PipelineConfig().budget
+    Table(s"Figures 6 and 8 companion: recall of merging at budget=$budget",
+      Seq("Dataset", "Variant"), Seq(Column("Prec", 3), Column("Recall", 3)),
+      specs.flatMap { spec =>
+        val variants = Dirs.map { case (dname, d) => dname -> spec.pipelineConfig(dir = d) } :+
+          ("NoAffix" -> spec.pipelineConfig().copy(pivot = spec.pivotConfig.copy(graph = GraphConfig(affix = false))))
+        val scored = variants.map(_._1).zip(confusions(spark, spec, variants.map(_._2), Seq(budget)).map(_.head))
+        for ((v, c) <- scored :+ ("Affix" -> scored.toMap.apply("BestDir")))
+          yield Row(Seq(spec.name, v), Seq(c.precision, c.recall))
+      })
+  }
 
-  def pruning(spark: SparkSession, specs: Seq[DatasetSpec]): String = {
+  /** Figure 7 companion: pruning-technique aggregation times. */
+  def pruning(spark: SparkSession, specs: Seq[DatasetSpec]): Table = {
     val searchBudget = 200000L
     val variants = Seq(
       ("NoThrsh", false, false), ("LocalThrsh", true, false),
       ("GlobalThrsh", false, true), ("AllThrsh", true, true))
-    val sb = new StringBuilder
-    sb ++= s"Figure 7 companion: aggregation time (s) by pruning variant (budget=$searchBudget)\n"
-    sb ++= f"${"Dataset"}%-14s ${"theta"}%5s" + variants.map(v => f"${v._1}%13s").mkString + "\n"
-    for (spec <- specs) withValues(spark, spec) { vals =>
-      val catalog = RuleGen.generate(spark, vals)
-      val trans   = Selection.select(catalog.keys.toSeq, BestDir)
-      for (theta <- Seq(3, 4)) {
-        val times = variants.map { case (_, local, global) =>
-          val cfg = PivotConfig(maxPathLen = theta, localThreshold = local,
-            globalThreshold = global, searchBudget = searchBudget)
-          timeMs(Grouping.group(spark, trans, BothAgg, cfg))._2 / 1000.0
+    Table(s"Figure 7 companion: aggregation time (s) by pruning variant (budget=$searchBudget)",
+      Seq("Dataset", "theta"), variants.map(v => Column(v._1, 3)),
+      specs.flatMap { spec =>
+        withRecords(spark, spec) { (_, vals) =>
+          val catalog = RuleGen.generate(spark, vals)
+          val trans   = Selection.select(catalog.keys.toSeq, BestDir)
+          for (theta <- Seq(3, 4)) yield Row(Seq(spec.name, theta.toString), variants.map { case (_, local, global) =>
+            val cfg = PivotConfig(maxPathLen = theta, localThreshold = local,
+              globalThreshold = global, searchBudget = searchBudget)
+            seconds(Grouping.group(spark, trans, BothAgg, cfg))
+          })
         }
-        sb ++= f"${spec.name}%-14s $theta%5d" + times.map(t => f"$t%13.3f").mkString + "\n"
-      }
-    }
-    sb.toString
+      })
   }
 }

@@ -13,12 +13,10 @@ class ConfigSpec extends AnyFunSuite {
   test("defaults and the bounds themselves are accepted") {
     GraphConfig()
     PivotConfig()
-    PivotConfig(maxPathLen = 1, sampleCap = 0, searchBudget = 0)
+    PivotConfig(maxPathLen = 1, searchBudget = 0)
   }
 
   test("PivotConfig rejects maxPathLen = 0") { rejects(PivotConfig(maxPathLen = 0)) }
-
-  test("PivotConfig rejects sampleCap = -1") { rejects(PivotConfig(sampleCap = -1)) }
 
   test("PivotConfig rejects searchBudget = -1") { rejects(PivotConfig(searchBudget = -1)) }
 

@@ -13,7 +13,7 @@ import scala.util.Random
 class PivotPruningSpec extends AnyFunSuite {
 
   private val theta = 3
-  private val base  = PivotConfig(maxPathLen = theta, sampleCap = 0, searchBudget = 0)
+  private val base  = PivotConfig(maxPathLen = theta, searchBudget = 0)
   private val variants = Seq(
     "NoThrsh"     -> base.copy(localThreshold = false, globalThreshold = false),
     "LocalThrsh"  -> base.copy(localThreshold = true, globalThreshold = false),
@@ -74,6 +74,7 @@ class PivotPruningSpec extends AnyFunSuite {
     val r = new Random(2019)
     for (_ <- 1 to 25) {
       val trans   = pool(r).sortBy(tr => (tr.lhs, tr.rhs))
+      assert(trans.size <= Pivot.SampleCap, "the pool must be scored whole, not sampled")
       val scoreFn = Pivot.constScoreFn(Pivot.constTermFreq(trans.map(_.lhs), base.graph.maxConstTermLen), Map.empty)
       val graphs  = trans.zipWithIndex.map { case (tr, i) => GraphBuilder.build(i, tr.lhs, tr.rhs, base.graph, scoreFn) }
       val best    = graphs.map(bruteForce(_, graphs))
